@@ -24,7 +24,10 @@ Reading the table:
   J-colouring although the deterministic greedy-maximal chromatic
   colouring leaves some vertex without a rainbow neighbourhood.  Under
   the existential reading (some chromatic colouring works) the
-  characterisation holds on this corpus, and T3 agrees.
+  characterisation holds on this corpus, and T3 agrees; both hold on
+  every graph up to order 7 but fail at order 8, where three connected
+  graphs with chi = 3 and J = 4 have no chromatic colouring under which
+  every vertex yields.
 
 * T9 fails in both parses: the two-triangles-with-bridge graph admits a
   J-colouring with 3 colours and has no pendant vertices, yet its bridge

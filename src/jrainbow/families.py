@@ -69,10 +69,7 @@ def _validate(spec: FamilySpec) -> None:
         if not spec.parts:
             raise ValueError("disjoint_union needs at least one part")
         for part in spec.parts:
-            if part.kind == "disjoint_union":
-                _validate(part)
-            else:
-                _validate(part)
+            _validate(part)
         return
     if spec.parts:
         raise ValueError(f"{kind} takes no sub-specs")
@@ -281,28 +278,19 @@ def oracle_jc(spec: FamilySpec) -> JResult:
 def _wl_classes(g: Graph) -> list[int]:
     """Stable 1-dimensional Weisfeiler-Leman colour classes, encoded as
     canonical integers (isomorphism-invariant)."""
-    colours = [g.degree(v) for v in range(g.n)]
+    adjacency = g.adjacency
+    colours = [len(a) for a in adjacency]
     for _ in range(g.n):
         raw = [
-            (colours[v], tuple(sorted(colours[u] for u in g.adjacency[v])))
-            for v in range(g.n)
+            (colours[v], tuple(sorted([colours[u] for u in a])))
+            for v, a in enumerate(adjacency)
         ]
         mapping = {sig: i for i, sig in enumerate(sorted(set(raw)))}
-        new = [mapping[raw[v]] for v in range(g.n)]
+        new = [mapping[sig] for sig in raw]
         if new == colours:
             break
         colours = new
     return colours
-
-
-def _edge_mask(n: int, edges, perm) -> int:
-    mask = 0
-    for u, v in edges:
-        a, b = perm[u], perm[v]
-        if a > b:
-            a, b = b, a
-        mask |= 1 << (a * n + b)
-    return mask
 
 
 def canonical_form(g: Graph) -> tuple[int, int]:
@@ -310,8 +298,15 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     over all vertex orderings that respect the WL colour classes.
 
     Restricting to class-respecting orderings is exact because any
-    isomorphism preserves WL classes, and it keeps the brute-force
-    permutation search tractable to n = 8.
+    isomorphism preserves WL classes.  An edge whose endpoints sit at
+    positions a < b sets bit a*n + b.  The minimum is found by branch and
+    bound on adjacency bitmasks, filling positions from n-1 downward:
+    once positions p..n-1 are filled, every mask bit >= p*n (rows
+    p..n-1) is fixed, so a partial ordering whose fixed high bits exceed
+    the incumbent's cannot lead to a smaller mask and is cut.  For the
+    same reason only the candidates whose new row is smallest are tried
+    at each position, and of two twins (vertices whose swap is an
+    automorphism) only one, since their subtrees mirror each other.
     """
     n = g.n
     if n == 0:
@@ -320,21 +315,52 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     groups: dict[int, list[int]] = {}
     for v, c in enumerate(classes):
         groups.setdefault(c, []).append(v)
-    ordered_groups = [groups[c] for c in sorted(groups)]
-    best: int | None = None
-    perm = [0] * n
-    for arrangement in itertools.product(
-        *(itertools.permutations(grp) for grp in ordered_groups)
-    ):
-        pos = 0
-        for grp in arrangement:
-            for v in grp:
-                perm[v] = pos
-                pos += 1
-        mask = _edge_mask(n, g.edges, perm)
-        if best is None or mask < best:
-            best = mask
-    assert best is not None
+    # slots[p]: the class whose block holds position p
+    slots = [groups[c] for c in sorted(classes)]
+    adjacency = g.adjacency
+    masks = [0] * n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    # twins[v]: vertices w of v's class with N(v) - w == N(w) - v
+    twins = [0] * n
+    for members in groups.values():
+        for v in members:
+            for w in members:
+                if w != v and masks[v] & ~(1 << w) == masks[w] & ~(1 << v):
+                    twins[v] |= 1 << w
+    # row[v]: bitmask of the positions already holding a neighbour of v
+    row = [0] * n
+    placed = [False] * n
+    best = -1
+
+    def place(p: int, high: int) -> None:
+        nonlocal best
+        if p < 0:
+            if best < 0 or high < best:
+                best = high
+            return
+        candidates = [v for v in slots[p] if not placed[v]]
+        low = min(row[v] for v in candidates)
+        shift = p * n
+        high |= low << shift
+        if best >= 0 and high >> shift > best >> shift:
+            return
+        bit = 1 << p
+        skip = 0
+        for v in candidates:
+            if row[v] != low or skip >> v & 1:
+                continue
+            skip |= twins[v]
+            placed[v] = True
+            for u in adjacency[v]:
+                row[u] |= bit
+            place(p - 1, high)
+            for u in adjacency[v]:
+                row[u] ^= bit
+            placed[v] = False
+
+    place(n - 1, 0)
     return (n, best)
 
 
@@ -349,20 +375,49 @@ def _graph_from_form(form: tuple[int, int]) -> Graph:
     return build_graph(n, edges)
 
 
+def _new_vertex_is_maximal(h: Graph, degrees: list[int], subset: int) -> bool:
+    """Whether joining a new vertex to the ``subset`` mask of ``h``'s
+    vertices gives it the largest signature (degree, sorted neighbour
+    degrees) in the augmented graph.  Ties count as largest."""
+    d = subset.bit_count()
+    new_degrees = [deg + (subset >> v & 1) for v, deg in enumerate(degrees)]
+    top = max(new_degrees)
+    if top != d:
+        return top < d
+    own = sorted(new_degrees[v] for v in range(h.n) if subset >> v & 1)
+    for v, deg in enumerate(new_degrees):
+        if deg == d:
+            theirs = [new_degrees[u] for u in h.adjacency[v]]
+            if subset >> v & 1:
+                theirs.append(d)
+            if sorted(theirs) > own:
+                return False
+    return True
+
+
 def _all_graphs(n: int) -> list[Graph]:
     """All non-isomorphic graphs on n vertices via vertex augmentation:
-    attach a new vertex to every subset of each (n-1)-vertex graph and
-    deduplicate by canonical form."""
+    attach a new vertex n-1 to every subset of each (n-1)-vertex graph and
+    deduplicate by canonical form.
+
+    An augmentation is skipped, before any graph is built, unless vertex
+    n-1 has the largest isomorphism-invariant signature (degree, sorted
+    neighbour degrees).  The filter loses no class: every graph G has a
+    vertex w of largest signature, G - w is isomorphic to some listed
+    (n-1)-vertex graph, and joining n-1 to the image of w's neighbours
+    gives a labelled copy of G that passes.
+    """
     if n == 1:
         return [build_graph(1, [])]
     forms: set[tuple[int, int]] = set()
     for h in _all_graphs_cached(n - 1):
-        for subset_mask in range(1 << (n - 1)):
-            edges = list(h.edges)
-            edges.extend(
-                (v, n - 1) for v in range(n - 1) if subset_mask >> v & 1
-            )
-            forms.add(canonical_form(build_graph(n, edges)))
+        degrees = [len(a) for a in h.adjacency]
+        for subset in range(1 << (n - 1)):
+            if _new_vertex_is_maximal(h, degrees, subset):
+                edges = h.edges + tuple(
+                    (v, n - 1) for v in range(n - 1) if subset >> v & 1
+                )
+                forms.add(canonical_form(build_graph(n, edges)))
     return [_graph_from_form(f) for f in sorted(forms, key=lambda f: (bin(f[1]).count("1"), f[1]))]
 
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 from .colouring import (
     Colouring,
+    _search_colourings,
     chromatic_number,
     convention_colouring,
-    enumerate_proper_colourings,
     is_proper,
 )
 from .graphs import Graph
@@ -67,8 +67,12 @@ def rainbow_neighbourhood_number(g: Graph, mode: str = "convention") -> RainbowR
     """Count vertices yielding rainbow neighbourhoods under a chromatic
     colouring of ``g``, selected per ``mode`` (see module docstring).
 
-    Exhaustive modes enumerate every surjective proper chi-colouring and
-    are meant for desk-scale graphs.  In convention mode a
+    Exhaustive modes scan the surjective proper chi-colourings in
+    lexicographic order, one per colour permutation (colours in first-use
+    order), and are meant for desk-scale graphs.  Permuting colours leaves
+    r unchanged, and the lexicographically first colouring reaching the
+    extreme is in first-use order, so skipping the permutations changes
+    neither r nor the colouring reported.  In convention mode a
     :class:`~jrainbow.colouring.ConventionInfeasibleError` propagates when
     the greedy-maximal discipline cannot realise chi classes.
     """
@@ -82,7 +86,8 @@ def rainbow_neighbourhood_number(g: Graph, mode: str = "convention") -> RainbowR
         return RainbowReport(yielding=yielding_vertices(g, colouring), colouring_used=colouring)
     best: RainbowReport | None = None
     want_max = mode == "exists-max"
-    for colouring in enumerate_proper_colourings(g, chi):
+    for assign in _search_colourings(g, chi, canonical=True):
+        colouring = Colouring(ell=chi, assignment=assign)
         report = RainbowReport(
             yielding=yielding_vertices(g, colouring), colouring_used=colouring
         )

@@ -96,3 +96,47 @@ def naive_all_yield(g: Graph, colouring: Colouring, vertices=None) -> bool:
         if seen != full:
             return False
     return True
+
+
+def _naive_wl_classes(g: Graph) -> list[int]:
+    """Stable 1-dimensional Weisfeiler-Leman colour classes as canonical
+    integers: start from degrees, replace each colour by the rank of
+    (colour, sorted neighbour colours) until the list stops changing."""
+    colours = [g.degree(v) for v in range(g.n)]
+    for _ in range(g.n):
+        raw = [
+            (colours[v], tuple(sorted(colours[u] for u in g.adjacency[v])))
+            for v in range(g.n)
+        ]
+        mapping = {sig: i for i, sig in enumerate(sorted(set(raw)))}
+        new = [mapping[raw[v]] for v in range(g.n)]
+        if new == colours:
+            break
+        colours = new
+    return colours
+
+
+def naive_canonical_form(g: Graph) -> tuple[int, int]:
+    """(n, minimum edge mask) over every vertex ordering that keeps the WL
+    classes in ascending blocks, by trying each such ordering; the edge
+    {u, v} at positions a < b sets bit a*n + b."""
+    n = g.n
+    if n == 0:
+        return (0, 0)
+    classes = _naive_wl_classes(g)
+    groups: dict[int, list[int]] = {}
+    for v, c in enumerate(classes):
+        groups.setdefault(c, []).append(v)
+    # bit[a][b]: the mask bit of an edge between positions a and b
+    bit = [[1 << (min(a, b) * n + max(a, b)) for b in range(n)] for a in range(n)]
+    pos = [0] * n
+    best = None
+    for arrangement in itertools.product(
+        *(itertools.permutations(groups[c]) for c in sorted(groups))
+    ):
+        for p, v in enumerate(itertools.chain.from_iterable(arrangement)):
+            pos[v] = p
+        mask = sum(bit[pos[u]][pos[v]] for u, v in g.edges)
+        if best is None or mask < best:
+            best = mask
+    return (n, best)

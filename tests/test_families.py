@@ -1,7 +1,12 @@
+import itertools
+import random
+
+import networkx as nx
 import pytest
 
 from jrainbow import (
     FamilySpec,
+    build_graph,
     canonical_form,
     decompose,
     enumerate_graphs,
@@ -17,6 +22,7 @@ from jrainbow import (
 )
 
 from conftest import family
+from oracles import naive_canonical_form
 
 
 def test_generate_cycle_edges():
@@ -126,22 +132,24 @@ def test_oracle_matches_solver_on_core_instances():
 # ---------------------------------------------------------------------------
 
 def test_enumeration_counts_match_direct_dedup():
-    # independent route: canonicalise every edge subset directly
-    import itertools
-
-    from jrainbow import build_graph
-
+    # independent route: canonicalise every edge subset directly, each
+    # form checked against the brute-force oracle
     for n in range(1, 6):
         pairs = list(itertools.combinations(range(n), 2))
         forms = set()
         for bits in range(1 << len(pairs)):
-            edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-            forms.add(canonical_form(build_graph(n, edges)))
+            g = build_graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+            form = canonical_form(g)
+            assert form == naive_canonical_form(g), g
+            forms.add(form)
         assert len(enumerate_graphs(n)) == len(forms)
 
 
 def test_enumeration_classical_counts():
-    assert [len(enumerate_graphs(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+    # OEIS A000088
+    assert [len(enumerate_graphs(n)) for n in range(1, 9)] == [
+        1, 2, 4, 11, 34, 156, 1044, 12346,
+    ]
     assert [len(enumerate_graphs(n, connected_only=True)) for n in range(1, 8)] == [
         1, 1, 2, 6, 21, 112, 853,
     ]
@@ -170,8 +178,33 @@ def test_enumeration_is_canonical_and_duplicate_free():
             assert canonical_form(g) == f
 
 
+def test_enumeration_matches_the_graph_atlas():
+    # networkx's atlas lists every graph on 0..7 vertices: each enumerated
+    # class must be isomorphic to exactly one atlas graph of its order
+    def key(h):  # isomorphism-invariant bucket
+        return h.number_of_nodes(), tuple(sorted(d for _, d in h.degree()))
+
+    unmatched: dict[tuple, list] = {}
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() >= 1:
+            unmatched.setdefault(key(h), []).append(h)
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            ours = nx.Graph()
+            ours.add_nodes_from(range(n))
+            ours.add_edges_from(g.edges)
+            bucket = unmatched.get(key(ours), [])
+            matches = [h for h in bucket if nx.is_isomorphic(ours, h)]
+            assert len(matches) == 1, (n, g)
+            bucket.remove(matches[0])
+    assert not any(unmatched.values())
+
+
 def test_tree_counts():
-    assert [len(enumerate_trees(n)) for n in range(1, 9)] == [1, 1, 1, 2, 3, 6, 11, 23]
+    # OEIS A000055
+    assert [len(enumerate_trees(n)) for n in range(1, 11)] == [
+        1, 1, 1, 2, 3, 6, 11, 23, 47, 106,
+    ]
     # trees n<=6 agree with filtering the full enumeration
     for n in range(1, 7):
         filtered = [
@@ -181,12 +214,26 @@ def test_tree_counts():
 
 
 def test_canonical_form_invariant_under_relabelling():
-    import itertools
-
-    from jrainbow import build_graph
-
     g = family("wheel", 6)
     base = canonical_form(g)
     for perm in list(itertools.permutations(range(6)))[:40]:
         edges = [(perm[u], perm[v]) for u, v in g.edges]
         assert canonical_form(build_graph(6, edges)) == base
+
+
+def test_canonical_form_matches_oracle_on_representatives():
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            assert canonical_form(g) == naive_canonical_form(g), g
+
+
+def test_canonical_form_matches_oracle_on_relabelled_regular_graphs():
+    # a single WL class leaves the whole 8! orderings to the search
+    rng = random.Random(8)
+    regular = [g for g in enumerate_graphs(8) if len({len(a) for a in g.adjacency}) == 1]
+    assert len(regular) == 22
+    for g in regular:
+        perm = list(range(8))
+        rng.shuffle(perm)
+        h = build_graph(8, [(perm[u], perm[v]) for u, v in g.edges])
+        assert canonical_form(h) == naive_canonical_form(h) == canonical_form(g), g

@@ -10,6 +10,7 @@ from jrainbow import (
 )
 
 from conftest import family
+from oracles import naive_all_yield, naive_chromatic, naive_surjective_proper_colourings
 
 
 def test_yields_complete_graph_everywhere():
@@ -70,3 +71,27 @@ def test_r_reports_reference_their_colouring(all_graphs_to_5):
         rep = rainbow_neighbourhood_number(g, "exists-max")
         assert rep.colouring_used.ell == chromatic_number(g)[0]
         assert all(0 <= v < g.n for v in rep.yielding)
+
+
+def test_r_exists_modes_match_a_scan_of_every_colouring(all_graphs_to_6):
+    # the oracle lists every surjective proper chi-colouring, colour
+    # permutations included, in lexicographic order; each mode reports
+    # the first colouring reaching its extreme
+    for g in all_graphs_to_6:
+        scan = []
+        for c in naive_surjective_proper_colourings(g, naive_chromatic(g)):
+            yielding = frozenset(v for v in range(g.n) if naive_all_yield(g, c, [v]))
+            scan.append((len(yielding), c, yielding))
+        for mode, pick in (("exists-max", max), ("exists-min", min)):
+            extreme = pick(r for r, _, _ in scan)
+            _, colouring, yielding = next(s for s in scan if s[0] == extreme)
+            rep = rainbow_neighbourhood_number(g, mode)
+            assert (rep.r, rep.colouring_used, rep.yielding) == (
+                extreme, colouring, yielding,
+            ), (g, mode)
+
+
+def test_r_exists_min_complete_graph_k9():
+    rep = rainbow_neighbourhood_number(family("complete", 9), "exists-min")
+    assert rep.r == 9
+    assert rep.colouring_used.assignment == tuple(range(1, 10))

@@ -16,6 +16,7 @@ from jrainbow import (
 from jrainbow.theorems import THEOREM_MODES
 
 from conftest import family
+from oracles import naive_all_yield, naive_chromatic, naive_surjective_proper_colourings
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +62,24 @@ def test_t2_convention_skips_infeasible():
     assert verdict.skipped == 1 and verdict.tested == 0
     verdict = check("T2", [double_star], mode="exists-max")
     assert verdict.skipped == 0 and verdict.tested == 1
+
+
+def test_t2_exists_max_and_t3_refuted_at_order_eight():
+    # a connected 8-vertex graph with chi = 3 and J = 4: a chromatic
+    # colouring never makes every vertex yield, yet a 4-colouring does
+    g = build_graph(8, [
+        (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (2, 7),
+        (3, 6), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7),
+    ])
+    assert g in enumerate_graphs(8)  # the corpus representative itself
+    for tid, mode in (("T2", "exists-max"), ("T3", None)):
+        verdict = check(tid, [g], corpus="order-8 witness", mode=mode)
+        assert verdict.status == "COUNTEREXAMPLE", (tid, mode)
+        assert dict(verdict.witnesses[0].details)["admits"] is True
+    # the same facts from the brute-force oracles alone
+    assert naive_chromatic(g) == 3
+    assert any(naive_all_yield(g, c) for c in naive_surjective_proper_colourings(g, 4))
+    assert not any(naive_all_yield(g, c) for c in naive_surjective_proper_colourings(g, 3))
 
 
 def test_t10_c5_probe_is_a_counterexample():
