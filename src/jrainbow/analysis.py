@@ -67,21 +67,18 @@ def analyse_graph(
 
     connectivity: dict = {}
     for mode in connectivity_modes:
-        if mode == "jc-exists":
-            try:
-                rep = is_jc_rainbow_connected(g, "exists")
-            except NotJColourable:
-                connectivity[mode] = {"defined": False, "connected": None}
-            else:
-                connectivity[mode] = {"defined": True, "connected": rep.connected}
+        side, sub_mode = mode.split("-", 1)
+        predicate, undefined = (
+            (is_jc_rainbow_connected, NotJColourable)
+            if side == "jc"
+            else (is_chi_rainbow_connected, ConventionInfeasibleError)
+        )
+        try:
+            connected = predicate(g, sub_mode).connected
+        except undefined:
+            connectivity[mode] = {"defined": False, "connected": None}
         else:
-            chi_mode = mode.split("-", 1)[1]
-            try:
-                rep = is_chi_rainbow_connected(g, chi_mode)
-            except ConventionInfeasibleError:
-                connectivity[mode] = {"defined": False, "connected": None}
-            else:
-                connectivity[mode] = {"defined": True, "connected": rep.connected}
+            connectivity[mode] = {"defined": True, "connected": connected}
 
     return {
         "schema": "janalysis/1",

@@ -23,7 +23,7 @@ from .analysis import ALL_MODES, CONNECTIVITY_MODES, analyse_graph, dump_json, r
 from .colouring import Colouring, ConventionInfeasibleError, chromatic_number, convention_colouring
 from .connectivity import rainbow_path_exists
 from .families import KINDS, FamilySpec, enumerate_graphs, generate, oracle_j, oracle_j_star
-from .graphs import Graph, decompose
+from .graphs import ComponentDecomposition, Graph
 from .io import FormatError, export_dot, read_graph
 from .jcolouring import jc_number
 from .neighbourhoods import MODES as RAINBOW_MODES
@@ -64,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated claim ids (T1..T10) or 'all'",
     )
     chk.add_argument("--connected-only", action="store_true")
-    chk.add_argument("--workers", type=int, default=1)
     chk.add_argument("--text", action="store_true", help="print the text table instead of JSON")
     chk.add_argument("--json", metavar="PATH", help="write the JSON report to PATH ('-' = stdout)")
 
@@ -93,8 +92,6 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
         "--expect-admits", action="store_true",
         help="exit 1 when the graph admits no componentwise J-colouring",
     )
-    sub.add_argument("--seed", type=int, default=None,
-                     help="reserved for future randomised corpora (unused)")
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -116,32 +113,38 @@ def _parse_modes(spec: str) -> tuple[list[str], list[str]]:
     return rainbow, connectivity
 
 
-def _dot_colouring(g: Graph):
-    """Colouring used for DOT output: the componentwise J-witness when the
-    graph admits one, else per-component convention chromatic colourings
-    merged on the parent ids (falling back to uncoloured on infeasibility)."""
+def _component_colourings(
+    g: Graph,
+) -> tuple[str, ComponentDecomposition, list[Colouring]]:
+    """Colouring source, decomposition and one colouring per component:
+    the J-witnesses when ``g`` admits a componentwise J-colouring, else
+    each component's convention chromatic colouring, or its chromatic
+    witness where the convention is infeasible."""
     result = jc_number(g)
     if result.admits:
-        dec = result.decomposition
-        assign = [0] * g.n
-        for ci, res in enumerate(result.per_component):
-            assert res.witness is not None
-            for li, pv in enumerate(dec.vertices[ci]):
-                assign[pv] = res.witness.assignment[li]
-        return Colouring(ell=max(assign), assignment=tuple(assign))
-    try:
-        dec = decompose(g)
-        assign = [0] * g.n
-        ell = 0
-        for ci, comp in enumerate(dec.components):
-            chi, _ = chromatic_number(comp)
-            col = convention_colouring(comp, chi)
-            for li, pv in enumerate(dec.vertices[ci]):
-                assign[pv] = col.assignment[li]
-            ell = max(ell, chi)
-        return Colouring(ell=ell, assignment=tuple(assign))
-    except ConventionInfeasibleError:
-        return None
+        return "j-colouring", result.decomposition, [
+            res.witness for res in result.per_component
+        ]
+    colourings = []
+    for comp in result.decomposition.components:
+        chi, chi_witness = chromatic_number(comp)
+        try:
+            colourings.append(convention_colouring(comp, chi))
+        except ConventionInfeasibleError:
+            colourings.append(chi_witness)
+    return "chromatic-convention", result.decomposition, colourings
+
+
+def _dot_colouring(g: Graph) -> Colouring:
+    """Colouring used for DOT output: the per-component colourings of
+    :func:`_component_colourings`, the ones ``rainbow`` searches its paths
+    under, merged on the parent ids."""
+    _, dec, colourings = _component_colourings(g)
+    assign = [0] * g.n
+    for verts, col in zip(dec.vertices, colourings):
+        for li, pv in enumerate(verts):
+            assign[pv] = col.assignment[li]
+    return Colouring(ell=max(assign), assignment=tuple(assign))
 
 
 def _run_analysis(g: Graph, args: argparse.Namespace, extra: dict | None = None) -> int:
@@ -192,7 +195,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     corpus = (
         f"{'connected ' if args.connected_only else ''}graphs n<={args.max_n}"
     )
-    verdicts = check_all(graphs, corpus=corpus, theorems=theorems, workers=args.workers)
+    verdicts = check_all(graphs, corpus=corpus, theorems=theorems)
     if args.text:
         sys.stdout.write(report(verdicts, "text"))
         if args.json:
@@ -204,20 +207,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_rainbow(args: argparse.Namespace) -> int:
     g = read_graph(args.file, args.format)
-    dec = decompose(g)
-    result = jc_number(g)
-    if result.admits:
-        source = "j-colouring"
-        comp_colourings = [res.witness for res in result.per_component]
-    else:
-        source = "chromatic-convention"
-        comp_colourings = []
-        for comp in dec.components:
-            chi, chi_witness = chromatic_number(comp)
-            try:
-                comp_colourings.append(convention_colouring(comp, chi))
-            except ConventionInfeasibleError:
-                comp_colourings.append(chi_witness)
+    source, dec, comp_colourings = _component_colourings(g)
     if args.pair:
         u, v = args.pair
         if not (0 <= u < g.n and 0 <= v < g.n):
@@ -258,7 +248,7 @@ def _cmd_rainbow(args: argparse.Namespace) -> int:
         "schema": "rainbow-paths/1",
         "graph": {"n": g.n, "m": g.m},
         "colouring_source": source,
-        "colourings": [c.to_json_dict() if c else None for c in comp_colourings],
+        "colourings": [c.to_json_dict() for c in comp_colourings],
         "pairs": entries,
     }
     if args.json is not None:

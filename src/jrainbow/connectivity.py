@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable, Iterator
 
 from .colouring import (
     Colouring,
@@ -27,7 +28,6 @@ from .colouring import (
 )
 from .graphs import ComponentDecomposition, Graph, decompose
 from .jcolouring import (
-    JResult,
     NotJColourable,
     enumerate_j_colourings,
     is_j_colouring,
@@ -203,30 +203,61 @@ class ConnectivityReport:
         }
 
 
-def _component_pairs_connected(
-    comp: Graph, colouring: Colouring
-) -> tuple[bool, list[tuple[tuple[int, int], tuple[int, ...]]], list[tuple[int, int]]]:
+def _scan_pairs(
+    comp: Graph, colouring: Colouring, stop_at_failure: bool
+) -> tuple[list[tuple[tuple[int, int], tuple[int, ...]]], list[tuple[int, int]]]:
+    """Witness paths and failed pairs of ``comp`` under ``colouring``, in
+    pair order; with ``stop_at_failure`` the scan ends at the first failure."""
     witnesses: list[tuple[tuple[int, int], tuple[int, ...]]] = []
     failed: list[tuple[int, int]] = []
     for u, v in combinations(range(comp.n), 2):
         w = rainbow_path_exists(comp, colouring, u, v)
         if w is None:
             failed.append((u, v))
+            if stop_at_failure:
+                break
         else:
             witnesses.append(((u, v), w.path))
-    return not failed, witnesses, failed
+    return witnesses, failed
 
 
-def _to_parent_paths(
+def _to_parent(verts: tuple[int, ...], local: Iterable[int]) -> tuple[int, ...]:
+    return tuple(verts[w] for w in local)
+
+
+def _rainbow_connectivity(
     dec: ComponentDecomposition,
-    ci: int,
-    local: list[tuple[tuple[int, int], tuple[int, ...]]],
-) -> list[tuple[tuple[int, int], tuple[int, ...]]]:
-    verts = dec.vertices[ci]
-    return [
-        ((verts[u], verts[v]), tuple(verts[w] for w in path))
-        for (u, v), path in local
-    ]
+    mode: str,
+    candidates: Iterable[Iterable[Colouring]],
+) -> ConnectivityReport:
+    """Per component, the first candidate colouring that rainbow-connects
+    every pair.  In mode "exists" a component without one records None;
+    in the other modes each component has a single candidate, recorded
+    with its witnesses and failed pairs whether or not it connects."""
+    search = mode == "exists"
+    used: list[Colouring | None] = []
+    witness_paths: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    failed_pairs: list[tuple[int, ...]] = []
+    for verts, comp, cands in zip(dec.vertices, dec.components, candidates):
+        chosen = None
+        for col in cands:
+            wit, failed = _scan_pairs(comp, col, stop_at_failure=search)
+            if search and failed:
+                continue
+            chosen = col
+            witness_paths.extend(
+                (_to_parent(verts, pair), _to_parent(verts, path)) for pair, path in wit
+            )
+            failed_pairs.extend(_to_parent(verts, pair) for pair in failed)
+            break
+        used.append(chosen)
+    return ConnectivityReport(
+        connected=None not in used and not failed_pairs,
+        mode=mode,
+        colourings=tuple(used),
+        witness_paths=tuple(witness_paths),
+        failed_pairs=tuple(failed_pairs),
+    )
 
 
 def is_jc_rainbow_connected(
@@ -259,47 +290,20 @@ def is_jc_rainbow_connected(
         for comp, col in zip(dec.components, colourings):
             if not is_j_colouring(comp, col):
                 raise ValueError("supplied colouring is not a J-colouring of its component")
-    used: list[Colouring | None] = []
-    all_witnesses: list[tuple[tuple[int, int], tuple[int, ...]]] = []
-    all_failed: list[tuple[int, int]] = []
-    verdict = True
-    for ci, comp in enumerate(dec.components):
-        if mode == "given":
-            assert colourings is not None
-            col = colourings[ci]
-            ok, wit, failed = _component_pairs_connected(comp, col)
-            used.append(col)
-            all_witnesses.extend(_to_parent_paths(dec, ci, wit))
-            all_failed.extend(_to_parent_paths_pairs(dec, ci, failed))
-            verdict &= ok
-        else:
-            jres: JResult = result.per_component[ci]
-            assert jres.value is not None
-            comp_ok = False
-            for col in enumerate_j_colourings(comp, jres.value):
-                ok, wit, _ = _component_pairs_connected(comp, col)
-                if ok:
-                    comp_ok = True
-                    used.append(col)
-                    all_witnesses.extend(_to_parent_paths(dec, ci, wit))
-                    break
-            if not comp_ok:
-                used.append(None)
-                verdict = False
-    return ConnectivityReport(
-        connected=verdict,
-        mode=mode,
-        colourings=tuple(used),
-        witness_paths=tuple(all_witnesses),
-        failed_pairs=tuple(all_failed),
-    )
+        candidates = [(col,) for col in colourings]
+    else:
+        candidates = [
+            enumerate_j_colourings(comp, res.value)
+            for comp, res in zip(dec.components, result.per_component)
+        ]
+    return _rainbow_connectivity(dec, mode, candidates)
 
 
-def _to_parent_paths_pairs(
-    dec: ComponentDecomposition, ci: int, pairs: list[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    verts = dec.vertices[ci]
-    return [(verts[u], verts[v]) for u, v in pairs]
+def _canonical_colourings(comp: Graph, chi: int) -> Iterator[Colouring]:
+    # rainbow connectivity is invariant under colour permutation, so one
+    # representative per permutation class suffices
+    for assign in _search_colourings(comp, chi, canonical=True):
+        yield Colouring(ell=chi, assignment=assign)
 
 
 def is_chi_rainbow_connected(g: Graph, mode: str = "exists") -> ConnectivityReport:
@@ -315,38 +319,11 @@ def is_chi_rainbow_connected(g: Graph, mode: str = "exists") -> ConnectivityRepo
     if mode not in CHI_MODES:
         raise ValueError(f"mode must be one of {CHI_MODES}, got {mode!r}")
     dec = decompose(g)
-    used: list[Colouring | None] = []
-    all_witnesses: list[tuple[tuple[int, int], tuple[int, ...]]] = []
-    all_failed: list[tuple[int, int]] = []
-    verdict = True
-    for ci, comp in enumerate(dec.components):
+    candidates = []
+    for comp in dec.components:
         chi, _ = chromatic_number(comp)
         if mode == "convention":
-            col = convention_colouring(comp, chi)
-            ok, wit, failed = _component_pairs_connected(comp, col)
-            used.append(col)
-            all_witnesses.extend(_to_parent_paths(dec, ci, wit))
-            all_failed.extend(_to_parent_paths_pairs(dec, ci, failed))
-            verdict &= ok
+            candidates.append((convention_colouring(comp, chi),))
         else:
-            # rainbow connectivity is invariant under colour permutation,
-            # so one representative per permutation class suffices
-            comp_ok = False
-            for assign in _search_colourings(comp, chi, canonical=True):
-                col = Colouring(ell=chi, assignment=assign)
-                ok, wit, _ = _component_pairs_connected(comp, col)
-                if ok:
-                    comp_ok = True
-                    used.append(col)
-                    all_witnesses.extend(_to_parent_paths(dec, ci, wit))
-                    break
-            if not comp_ok:
-                used.append(None)
-                verdict = False
-    return ConnectivityReport(
-        connected=verdict,
-        mode=mode,
-        colourings=tuple(used),
-        witness_paths=tuple(all_witnesses),
-        failed_pairs=tuple(all_failed),
-    )
+            candidates.append(_canonical_colourings(comp, chi))
+    return _rainbow_connectivity(dec, mode, candidates)

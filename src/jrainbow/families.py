@@ -265,12 +265,6 @@ def oracle_j_star(spec: FamilySpec) -> JResult:
     return _assemble(pieces, [_piece_j_star(p) for p in pieces])
 
 
-def oracle_jc(spec: FamilySpec) -> JResult:
-    """Alias of :func:`oracle_j`: for connected instances the componentwise
-    number equals J, and the oracle is componentwise already."""
-    return oracle_j(spec)
-
-
 # ---------------------------------------------------------------------------
 # Canonical forms and exhaustive enumeration of small graphs
 # ---------------------------------------------------------------------------

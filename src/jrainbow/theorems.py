@@ -26,31 +26,24 @@ claims, in the checker's own labels:
        chi-side convention / exists)
 
 Graphs on which a convention colouring is infeasible are skipped (and
-counted) in convention modes.  Verdicts are deterministic and independent
-of the worker count.
+counted) in convention modes.  Verdicts are deterministic.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .colouring import (
-    Colouring,
-    ConventionInfeasibleError,
-    _search_colourings,
-    chromatic_number,
-)
+from .colouring import ConventionInfeasibleError, chromatic_number
 from .connectivity import (
     is_chi_rainbow_connected,
     is_jc_rainbow_connected,
     min_rainbow_path_lengths,
 )
 from .graphs import Graph, decompose, degree_profile, has_cycle_length_multiple
-from .jcolouring import j_number, jc_number, jstarc_number
-from .neighbourhoods import rainbow_neighbourhood_number, yielding_vertices
+from .jcolouring import enumerate_j_colourings, j_number, jc_number, jstarc_number
+from .neighbourhoods import rainbow_neighbourhood_number
 
 WITNESS_CAP = 5
 
@@ -141,11 +134,7 @@ def _check_t1(g: Graph, mode: str | None) -> object:
 
 def _full_yield_chi_colouring_exists(comp: Graph) -> bool:
     chi, _ = chromatic_number(comp)
-    for assign in _search_colourings(comp, chi, canonical=True):
-        colouring = Colouring(ell=chi, assignment=assign)
-        if len(yielding_vertices(comp, colouring)) == comp.n:
-            return True
-    return False
+    return next(enumerate_j_colourings(comp, chi), None) is not None
 
 
 def _check_t2(g: Graph, mode: str | None) -> object:
@@ -365,14 +354,9 @@ def check(
     graphs: Sequence[Graph],
     corpus: str = "",
     mode: str | None = None,
-    workers: int = 1,
 ) -> TheoremVerdict:
-    """Evaluate one claim over a graph corpus.
-
-    The corpus is processed in order; with ``workers`` > 1 the per-graph
-    evaluations run in a thread pool but results are merged in corpus
-    order, so the verdict is identical for any worker count.
-    """
+    """Evaluate one claim over a graph corpus, graph by graph in corpus
+    order."""
     if theorem_id not in _CHECKERS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     modes = THEOREM_MODES[theorem_id]
@@ -381,16 +365,11 @@ def check(
     if mode is not None and mode not in modes:
         raise ValueError(f"{theorem_id} mode must be one of {modes}, got {mode!r}")
     checker = _CHECKERS[theorem_id]
-    graphs = list(graphs)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda g: checker(g, mode), graphs))
-    else:
-        outcomes = [checker(g, mode) for g in graphs]
     tested = 0
     skipped = 0
     fails: list[tuple[Graph, str, dict]] = []
-    for g, outcome in zip(graphs, outcomes):
+    for g in graphs:
+        outcome = checker(g, mode)
         if outcome == _SKIP:
             skipped += 1
             continue
@@ -424,7 +403,6 @@ def check_all(
     graphs: Sequence[Graph],
     corpus: str = "",
     theorems: Iterable[str] | None = None,
-    workers: int = 1,
 ) -> list[TheoremVerdict]:
     """Run the selected claims (default: all) in every mode, ordered by
     theorem id then mode."""
@@ -436,7 +414,7 @@ def check_all(
     verdicts = []
     for tid in sorted(selected, key=lambda t: int(t[1:])):
         for mode in THEOREM_MODES[tid]:
-            verdicts.append(check(tid, graphs, corpus=corpus, mode=mode, workers=workers))
+            verdicts.append(check(tid, graphs, corpus=corpus, mode=mode))
     return verdicts
 
 

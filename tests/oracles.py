@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 
-from jrainbow import Colouring, Graph
+from jrainbow import Colouring, Graph, build_graph
 
 
 def naive_is_k_colourable(g: Graph, k: int) -> bool:
@@ -84,6 +84,29 @@ def naive_rainbow_path_exists(g: Graph, colouring: Colouring, u: int, v: int) ->
         if {colouring.assignment[w] for w in path} == full:
             return True
     return False
+
+
+def naive_components(g: Graph) -> list[tuple[list[int], Graph]]:
+    """Connected components by flood fill, ordered by smallest vertex: the
+    ascending parent ids of each and its induced subgraph on local ids."""
+    out = []
+    seen: set[int] = set()
+    for start in range(g.n):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            for x in g.adjacency[stack.pop()]:
+                if x not in comp:
+                    comp.add(x)
+                    stack.append(x)
+        seen |= comp
+        verts = sorted(comp)
+        local = {v: i for i, v in enumerate(verts)}
+        edges = [(local[u], local[v]) for u, v in g.edges if u in comp]
+        out.append((verts, build_graph(len(verts), edges)))
+    return out
 
 
 def naive_all_yield(g: Graph, colouring: Colouring, vertices=None) -> bool:

@@ -2,6 +2,7 @@ import pytest
 
 from jrainbow import (
     Colouring,
+    ConventionInfeasibleError,
     FamilySpec,
     NotJColourable,
     build_graph,
@@ -15,7 +16,13 @@ from jrainbow import (
 )
 
 from conftest import family, union
-from oracles import naive_rainbow_path_exists
+from oracles import (
+    naive_all_yield,
+    naive_chromatic,
+    naive_components,
+    naive_rainbow_path_exists,
+    naive_surjective_proper_colourings,
+)
 
 
 def test_rainbow_path_k4_hamilton():
@@ -183,3 +190,81 @@ def test_invalid_modes_rejected():
         is_chi_rainbow_connected(family("complete", 3), "nope")
     with pytest.raises(ValueError, match="empty"):
         is_chi_rainbow_connected(build_graph(0, []), "exists")
+
+
+def _naive_failed_pairs(comp, colouring):
+    return [
+        (u, v)
+        for u in range(comp.n)
+        for v in range(u + 1, comp.n)
+        if not naive_rainbow_path_exists(comp, colouring, u, v)
+    ]
+
+
+def _assert_exists_report(rep, comps, candidate_sets):
+    """Each component records a candidate that rainbow-connects all its
+    pairs, or None when no candidate does; no failed pairs are kept."""
+    assert len(rep.colourings) == len(comps)
+    for (_, comp), col, cands in zip(comps, rep.colourings, candidate_sets):
+        if col is None:
+            assert all(_naive_failed_pairs(comp, c) for c in cands)
+        else:
+            assert col in cands and not _naive_failed_pairs(comp, col)
+    assert rep.connected == (None not in rep.colourings)
+    assert rep.failed_pairs == ()
+
+
+def _naive_j_colourings(comp):
+    """Every all-yield surjective proper colouring of the component at its
+    largest colour count that has one; empty when there is none.  A
+    yielding vertex sees every colour in its closed neighbourhood, so no
+    count above the minimum degree + 1 needs trying."""
+    top = min(len(comp.adjacency[v]) for v in range(comp.n)) + 1
+    for k in range(top, 0, -1):
+        found = [c for c in naive_surjective_proper_colourings(comp, k) if naive_all_yield(comp, c)]
+        if found:
+            return found
+    return []
+
+
+def _assert_failed_pairs(rep, comps, colourings):
+    expected = [
+        (verts[u], verts[v])
+        for (verts, comp), col in zip(comps, colourings)
+        for u, v in _naive_failed_pairs(comp, col)
+    ]
+    assert list(rep.failed_pairs) == expected
+    assert rep.connected == (not expected)
+
+
+def test_whole_graph_predicates_match_brute_force_oracle(all_graphs_to_6):
+    # per component: some candidate colouring rainbow-connects every pair
+    failures_seen = {"given": 0, "convention": 0}
+    for g in all_graphs_to_6:
+        comps = naive_components(g)
+        chi_sets = [
+            naive_surjective_proper_colourings(comp, naive_chromatic(comp))
+            for _, comp in comps
+        ]
+        _assert_exists_report(is_chi_rainbow_connected(g, "exists"), comps, chi_sets)
+
+        j_sets = [_naive_j_colourings(comp) for _, comp in comps]
+        if not all(j_sets):
+            with pytest.raises(NotJColourable):
+                is_jc_rainbow_connected(g, "exists")
+        else:
+            _assert_exists_report(is_jc_rainbow_connected(g, "exists"), comps, j_sets)
+            given = tuple(cands[0] for cands in j_sets)
+            rep = is_jc_rainbow_connected(g, "given", colourings=given)
+            _assert_failed_pairs(rep, comps, given)
+            failures_seen["given"] += bool(rep.failed_pairs)
+
+        try:
+            rep = is_chi_rainbow_connected(g, "convention")
+        except ConventionInfeasibleError:
+            continue
+        assert all(col in cands for col, cands in zip(rep.colourings, chi_sets))
+        _assert_failed_pairs(rep, comps, rep.colourings)
+        failures_seen["convention"] += bool(rep.failed_pairs)
+    # both single-colouring modes meet graphs with unconnected pairs
+    assert all(failures_seen.values()), failures_seen

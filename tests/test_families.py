@@ -18,7 +18,6 @@ from jrainbow import (
     jstarc_number,
     oracle_j,
     oracle_j_star,
-    oracle_jc,
 )
 
 from conftest import family
@@ -70,7 +69,7 @@ def test_oracle_examples():
     assert oracle_j(FamilySpec("cycle", (6,))).value == 3
     assert oracle_j(FamilySpec("null", (7,))).value == 1
     assert oracle_j_star(FamilySpec("null", (7,))).value == 1
-    assert oracle_jc(FamilySpec("complete", (5,))).value == 5
+    assert oracle_j(FamilySpec("complete", (5,))).value == 5
 
 
 def test_oracle_witnesses_pass_the_predicates():

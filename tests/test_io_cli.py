@@ -200,20 +200,30 @@ def test_cli_rainbow_fallback_colouring(tmp_path, capsys):
     assert all(e["exists"] for e in doc["pairs"])
 
 
+def test_cli_rainbow_dot_colours_match_json_colouring(tmp_path, capsys):
+    # no J-colouring and an infeasible convention: the paths are searched
+    # under the chromatic witness, and the DOT must draw that colouring
+    path = tmp_path / "g.edges"
+    path.write_text(write_edgelist(build_graph(5, [(0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])))
+    dot_path = tmp_path / "g.dot"
+    rc = main(["rainbow", str(path), "--all-pairs", "--json", "-", "--dot", str(dot_path)])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["colourings"] == [{"ell": 3, "assignment": [2, 1, 1, 2, 3]}]
+    assert sum(e["exists"] for e in doc["pairs"]) == 9
+    classes = {}
+    for line in dot_path.read_text().splitlines():
+        if "colourclass" in line:
+            classes[int(line.split()[0])] = line.split('colourclass="c')[1].split('"')[0]
+    assert classes == {v: str(c) for v, c in enumerate(doc["colourings"][0]["assignment"])}
+
+
 def test_cli_check_json_and_modes(capsys):
     rc = main(["check", "--max-n", "4", "--theorems", "T2,T10", "--connected-only"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert [v["theorem"] for v in doc["verdicts"]] == ["T2", "T2", "T10", "T10"]
     assert all(v["corpus"] == "connected graphs n<=4" for v in doc["verdicts"])
-
-
-def test_cli_check_workers_flag_deterministic(capsys):
-    rc = main(["check", "--max-n", "4", "--theorems", "T1"])
-    one = capsys.readouterr().out
-    rc2 = main(["check", "--max-n", "4", "--theorems", "T1", "--workers", "3"])
-    two = capsys.readouterr().out
-    assert rc == rc2 == 0 and one == two
 
 
 def test_cli_bad_family_params(capsys):
