@@ -10,12 +10,13 @@ never zero.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from typing import Iterable
 
-from .colouring import ConventionInfeasibleError, chromatic_number
+from .colouring import Colouring, ConventionInfeasibleError, chromatic_number
 from .connectivity import is_chi_rainbow_connected, is_jc_rainbow_connected
-from .graphs import Graph, decompose
-from .jcolouring import NotJColourable, jc_number, jstarc_number
+from .graphs import DegreeProfile, Graph, decompose, degree_profile
+from .jcolouring import ComponentaResult, _componentwise, j_number, j_star_number
 from .neighbourhoods import MODES as RAINBOW_MODES
 from .neighbourhoods import rainbow_neighbourhood_number
 
@@ -23,20 +24,86 @@ CONNECTIVITY_MODES = ("jc-exists", "chi-convention", "chi-exists")
 ALL_MODES = RAINBOW_MODES + CONNECTIVITY_MODES
 
 
+class GraphFacts:
+    """The per-graph facts that the claim checker, the analysis document
+    and the CLI read, each derived in one place.
+
+    The graph is decomposed on construction; every other fact is computed
+    on first use and then kept.  Per-component facts are indexed like
+    ``decomposition.components``; None marks what does not exist.
+    """
+
+    def __init__(self, g: Graph) -> None:
+        self.graph = g
+        self.decomposition = decompose(g)
+        self._jc_rainbow: dict[int, Colouring | None] = {}
+        self._chi_rainbow: dict[str, bool | None] = {}
+
+    @cached_property
+    def chromatic(self) -> tuple[tuple[int, Colouring], ...]:
+        """(chi, witness) per component."""
+        return tuple(chromatic_number(comp) for comp in self.decomposition.components)
+
+    @cached_property
+    def degree_profiles(self) -> tuple[DegreeProfile, ...]:
+        return tuple(degree_profile(comp) for comp in self.decomposition.components)
+
+    @cached_property
+    def jc(self) -> ComponentaResult:
+        return _componentwise(self.decomposition, j_number)
+
+    @cached_property
+    def jstarc(self) -> ComponentaResult:
+        return _componentwise(self.decomposition, j_star_number)
+
+    def jc_rainbow_colouring(self, ci: int) -> Colouring | None:
+        """First maximum J-colouring of component ``ci`` that rainbow-connects
+        all of its pairs; None when there is none or J is undefined there."""
+        if ci not in self._jc_rainbow:
+            comp = self.decomposition.components[ci]
+            self._jc_rainbow[ci] = (
+                is_jc_rainbow_connected(comp, "exists").colourings[0]
+                if self.jc.per_component[ci].admits else None
+            )
+        return self._jc_rainbow[ci]
+
+    @property
+    def jc_rainbow_connected(self) -> bool | None:
+        """Componentwise-J rainbow connectivity (mode "exists"); None when
+        some component admits no J-colouring."""
+        if not self.jc.admits:
+            return None
+        return all(
+            self.jc_rainbow_colouring(ci) is not None
+            for ci in range(len(self.decomposition))
+        )
+
+    def chi_rainbow_connected(self, mode: str) -> bool | None:
+        """Chromatic rainbow connectivity in ``mode``; None when the
+        convention colouring of some component is infeasible."""
+        if mode not in self._chi_rainbow:
+            try:
+                self._chi_rainbow[mode] = is_chi_rainbow_connected(self.graph, mode).connected
+            except ConventionInfeasibleError:
+                self._chi_rainbow[mode] = None
+        return self._chi_rainbow[mode]
+
+
 def analyse_graph(
-    g: Graph,
+    g: Graph | GraphFacts,
     rainbow_modes: Iterable[str] = RAINBOW_MODES,
     connectivity_modes: Iterable[str] = CONNECTIVITY_MODES,
 ) -> dict:
-    """Assemble the full analysis document for ``g``."""
+    """Assemble the full analysis document for ``g``, a graph or its record."""
+    facts = g if isinstance(g, GraphFacts) else GraphFacts(g)
+    g = facts.graph
     if g.n == 0:
         raise ValueError("cannot analyse the empty graph")
-    dec = decompose(g)
-    jc = jc_number(g)
-    jstarc = jstarc_number(g)
+    dec = facts.decomposition
+    jc, jstarc = facts.jc, facts.jstarc
     components = []
     for ci, comp in enumerate(dec.components):
-        chi, chi_witness = chromatic_number(comp)
+        chi, chi_witness = facts.chromatic[ci]
         entry: dict = {
             "index": ci,
             "vertices": list(dec.vertices[ci]),
@@ -67,36 +134,19 @@ def analyse_graph(
 
     connectivity: dict = {}
     for mode in connectivity_modes:
-        side, sub_mode = mode.split("-", 1)
-        predicate, undefined = (
-            (is_jc_rainbow_connected, NotJColourable)
-            if side == "jc"
-            else (is_chi_rainbow_connected, ConventionInfeasibleError)
-        )
-        try:
-            connected = predicate(g, sub_mode).connected
-        except undefined:
-            connectivity[mode] = {"defined": False, "connected": None}
+        if mode == "jc-exists":
+            connected = facts.jc_rainbow_connected
         else:
-            connectivity[mode] = {"defined": True, "connected": connected}
+            connected = facts.chi_rainbow_connected(mode.removeprefix("chi-"))
+        connectivity[mode] = {"defined": connected is not None, "connected": connected}
 
     return {
         "schema": "janalysis/1",
         "graph": {"n": g.n, "m": g.m, "components": len(dec)},
         "components": components,
         "whole": {
-            "jc": {
-                "admits": jc.admits,
-                "value": jc.value,
-                "equal_across_components": jc.equal_across_components,
-                "per_component": [r.value for r in jc.per_component],
-            },
-            "jstarc": {
-                "admits": jstarc.admits,
-                "value": jstarc.value,
-                "equal_across_components": jstarc.equal_across_components,
-                "per_component": [r.value for r in jstarc.per_component],
-            },
+            "jc": jc.to_json_dict(),
+            "jstarc": jstarc.to_json_dict(),
             "connectivity": connectivity,
         },
     }

@@ -9,23 +9,31 @@ Subcommands:
 
 Exit codes: 0 success; 1 when --expect-admits was set but the graph
 admits no componentwise J-colouring; 2 on input errors (malformed files
-are reported with line numbers).
+are reported with line numbers, and a graph file may declare at most
+64 vertices, ``io.MAX_VERTICES``).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from itertools import combinations
 from pathlib import Path
 
 from . import __version__
-from .analysis import ALL_MODES, CONNECTIVITY_MODES, analyse_graph, dump_json, render_text
-from .colouring import Colouring, ConventionInfeasibleError, chromatic_number, convention_colouring
+from .analysis import (
+    ALL_MODES,
+    CONNECTIVITY_MODES,
+    GraphFacts,
+    analyse_graph,
+    dump_json,
+    render_text,
+)
+from .colouring import Colouring, ConventionInfeasibleError, convention_colouring
 from .connectivity import rainbow_path_exists
 from .families import KINDS, FamilySpec, enumerate_graphs, generate, oracle_j, oracle_j_star
 from .graphs import ComponentDecomposition, Graph
 from .io import FormatError, export_dot, read_graph
-from .jcolouring import jc_number
 from .neighbourhoods import MODES as RAINBOW_MODES
 from .theorems import THEOREM_IDS, check_all, report
 
@@ -113,34 +121,28 @@ def _parse_modes(spec: str) -> tuple[list[str], list[str]]:
     return rainbow, connectivity
 
 
-def _component_colourings(
-    g: Graph,
-) -> tuple[str, ComponentDecomposition, list[Colouring]]:
-    """Colouring source, decomposition and one colouring per component:
-    the J-witnesses when ``g`` admits a componentwise J-colouring, else
-    each component's convention chromatic colouring, or its chromatic
-    witness where the convention is infeasible."""
-    result = jc_number(g)
-    if result.admits:
-        return "j-colouring", result.decomposition, [
-            res.witness for res in result.per_component
-        ]
+def _component_colourings(facts: GraphFacts) -> tuple[str, list[Colouring]]:
+    """Colouring source and one colouring per component: the J-witnesses
+    when the graph admits a componentwise J-colouring, else each
+    component's convention chromatic colouring, or its chromatic witness
+    where the convention is infeasible."""
+    jc = facts.jc
+    if jc.admits:
+        return "j-colouring", [res.witness for res in jc.per_component]
     colourings = []
-    for comp in result.decomposition.components:
-        chi, chi_witness = chromatic_number(comp)
+    for comp, (chi, chi_witness) in zip(facts.decomposition.components, facts.chromatic):
         try:
             colourings.append(convention_colouring(comp, chi))
         except ConventionInfeasibleError:
             colourings.append(chi_witness)
-    return "chromatic-convention", result.decomposition, colourings
+    return "chromatic-convention", colourings
 
 
-def _dot_colouring(g: Graph) -> Colouring:
+def _dot_colouring(dec: ComponentDecomposition, colourings: list[Colouring]) -> Colouring:
     """Colouring used for DOT output: the per-component colourings of
     :func:`_component_colourings`, the ones ``rainbow`` searches its paths
     under, merged on the parent ids."""
-    _, dec, colourings = _component_colourings(g)
-    assign = [0] * g.n
+    assign = [0] * dec.parent.n
     for verts, col in zip(dec.vertices, colourings):
         for li, pv in enumerate(verts):
             assign[pv] = col.assignment[li]
@@ -149,7 +151,8 @@ def _dot_colouring(g: Graph) -> Colouring:
 
 def _run_analysis(g: Graph, args: argparse.Namespace, extra: dict | None = None) -> int:
     rainbow_modes, connectivity_modes = _parse_modes(args.modes)
-    doc = analyse_graph(g, rainbow_modes=rainbow_modes, connectivity_modes=connectivity_modes)
+    facts = GraphFacts(g)
+    doc = analyse_graph(facts, rainbow_modes=rainbow_modes, connectivity_modes=connectivity_modes)
     if extra:
         doc.update(extra)
     if args.json is not None:
@@ -157,7 +160,8 @@ def _run_analysis(g: Graph, args: argparse.Namespace, extra: dict | None = None)
     else:
         sys.stdout.write(render_text(doc))
     if args.dot is not None:
-        _emit(export_dot(g, _dot_colouring(g)), args.dot)
+        _, colourings = _component_colourings(facts)
+        _emit(export_dot(g, _dot_colouring(facts.decomposition, colourings)), args.dot)
     if args.expect_admits and not doc["whole"]["jc"]["admits"]:
         return 1
     return 0
@@ -207,25 +211,24 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_rainbow(args: argparse.Namespace) -> int:
     g = read_graph(args.file, args.format)
-    source, dec, comp_colourings = _component_colourings(g)
+    facts = GraphFacts(g)
+    dec = facts.decomposition
+    source, comp_colourings = _component_colourings(facts)
     if args.pair:
         u, v = args.pair
         if not (0 <= u < g.n and 0 <= v < g.n):
             raise ValueError(f"pair ({u}, {v}) outside 0..{g.n - 1}")
-        pairs = [(min(u, v), max(u, v))] if u != v else []
         if u == v:
             raise ValueError("rainbow paths need two distinct vertices")
+        pairs = [(min(u, v), max(u, v))]
     else:
-        pairs = [
-            (u, v)
-            for u in range(g.n)
-            for v in range(u + 1, g.n)
-        ]
+        pairs = list(combinations(range(g.n), 2))
     entries = []
     witness_paths = []
+    vertex_map = dec.vertex_map
     for u, v in pairs:
-        cu, lu = dec.vertex_map[u]
-        cv, lv = dec.vertex_map[v]
+        cu, lu = vertex_map[u]
+        cv, lv = vertex_map[v]
         if cu != cv:
             entries.append(
                 {"pair": [u, v], "exists": False, "path": None,
@@ -261,7 +264,7 @@ def _cmd_rainbow(args: argparse.Namespace) -> int:
                 reason = f" ({e['reason']})" if e.get("reason") else ""
                 sys.stdout.write(f"{e['pair'][0]} {e['pair'][1]}: no rainbow path{reason}\n")
     if args.dot is not None:
-        _emit(export_dot(g, _dot_colouring(g), witness_paths), args.dot)
+        _emit(export_dot(g, _dot_colouring(dec, comp_colourings), witness_paths), args.dot)
     return 0
 
 

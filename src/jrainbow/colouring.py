@@ -16,7 +16,7 @@ neighbourhood is completely assigned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .graphs import Graph, complement
 
@@ -42,10 +42,6 @@ class Colouring:
                 f"assignment must use every colour in 1..{self.ell}, used {sorted(used)}"
             )
 
-    @classmethod
-    def from_assignment(cls, assignment: Sequence[int]) -> "Colouring":
-        return cls(ell=max(assignment), assignment=tuple(assignment))
-
     @property
     def n(self) -> int:
         return len(self.assignment)
@@ -57,9 +53,6 @@ class Colouring:
         for c in self.assignment:
             counts[c - 1] += 1
         return tuple(counts)
-
-    def colour_of(self, v: int) -> int:
-        return self.assignment[v]
 
     def colour_classes(self) -> tuple[tuple[int, ...], ...]:
         classes: list[list[int]] = [[] for _ in range(self.ell)]

@@ -167,12 +167,6 @@ def _connected_pieces(spec: FamilySpec) -> list[FamilySpec]:
     return [spec]
 
 
-def _piece_order(piece: FamilySpec) -> int:
-    if piece.kind == "complete_multipartite":
-        return sum(piece.params)
-    return piece.params[0]
-
-
 def _piece_j(piece: FamilySpec) -> tuple[int | None, tuple[int, ...] | None]:
     """(J value, witness assignment) for a connected piece, or (None, None)."""
     kind, params = piece.kind, piece.params

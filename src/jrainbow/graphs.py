@@ -37,22 +37,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
 
-    def neighbours(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def closed_neighbourhood(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self.adjacency[v] + (v,)))
-
-    def min_degree(self) -> int:
-        if self.n == 0:
-            raise ValueError("empty graph has no degrees")
-        return min(len(a) for a in self.adjacency)
-
-    def max_degree(self) -> int:
-        if self.n == 0:
-            raise ValueError("empty graph has no degrees")
-        return max(len(a) for a in self.adjacency)
-
     def __repr__(self) -> str:  # compact, deterministic
         return f"Graph(n={self.n}, edges={list(self.edges)})"
 
@@ -106,19 +90,22 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return build_graph(len(verts), edges), verts
 
 
-def is_connected(g: Graph) -> bool:
-    """True for graphs with at most one vertex and for connected graphs."""
-    if g.n <= 1:
-        return True
-    seen = {0}
-    stack = [0]
+def _flood(g: Graph, start: int) -> set[int]:
+    """Vertices reachable from ``start``."""
+    seen = {start}
+    stack = [start]
     while stack:
         v = stack.pop()
         for u in g.adjacency[v]:
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
-    return len(seen) == g.n
+    return seen
+
+
+def is_connected(g: Graph) -> bool:
+    """True for graphs with at most one vertex and for connected graphs."""
+    return g.n <= 1 or len(_flood(g, 0)) == g.n
 
 
 @dataclass(frozen=True)
@@ -127,53 +114,41 @@ class ComponentDecomposition:
 
     ``components[i]`` is the i-th component with local vertex ids;
     ``vertices[i]`` lists its parent vertex ids in ascending order (the
-    local id of ``vertices[i][j]`` is j); ``vertex_map[v]`` gives
-    (component index, local id) for parent vertex v.  Components are
-    ordered by their smallest parent vertex id.
+    local id of ``vertices[i][j]`` is j); the derived ``vertex_map[v]``
+    gives (component index, local id) for parent vertex v.  Components are
+    ordered by their smallest parent vertex id.  A connected graph is its
+    own single component.
     """
 
     parent: Graph
     components: tuple[Graph, ...]
     vertices: tuple[tuple[int, ...], ...]
-    vertex_map: tuple[tuple[int, int], ...]
 
     def __len__(self) -> int:
         return len(self.components)
 
-    def to_parent(self, comp_index: int, local: int) -> int:
-        return self.vertices[comp_index][local]
+    @property
+    def vertex_map(self) -> tuple[tuple[int, int], ...]:
+        vmap: list[tuple[int, int]] = [(-1, -1)] * self.parent.n
+        for ci, verts in enumerate(self.vertices):
+            for li, pv in enumerate(verts):
+                vmap[pv] = (ci, li)
+        return tuple(vmap)
 
 
 def decompose(g: Graph) -> ComponentDecomposition:
     """Split ``g`` into connected components, deterministically ordered."""
     unvisited = set(range(g.n))
     groups: list[tuple[int, ...]] = []
-    while unvisited:
-        start = min(unvisited)
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in g.adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
+    while unvisited:  # each new start is the smallest unvisited vertex
+        seen = _flood(g, min(unvisited))
         unvisited -= seen
         groups.append(tuple(sorted(seen)))
-    groups.sort(key=lambda grp: grp[0])
-    comps = []
-    vmap: list[tuple[int, int]] = [(-1, -1)] * g.n
-    for ci, grp in enumerate(groups):
-        sub, verts = induced_subgraph(g, grp)
-        comps.append(sub)
-        for li, pv in enumerate(verts):
-            vmap[pv] = (ci, li)
-    return ComponentDecomposition(
-        parent=g,
-        components=tuple(comps),
-        vertices=tuple(groups),
-        vertex_map=tuple(vmap),
-    )
+    if len(groups) == 1:
+        comps: tuple[Graph, ...] = (g,)
+    else:
+        comps = tuple(induced_subgraph(g, grp)[0] for grp in groups)
+    return ComponentDecomposition(parent=g, components=comps, vertices=tuple(groups))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Edge-list format: first line "n m", then m lines "u v" with 0-based
 endpoints.  DIMACS: "c" comment lines, one "p edge n m" header, then
 "e u v" lines with 1-based endpoints (shifted to 0-based internally and
-shifted back on export).
+shifted back on export).  Both parsers reject a header declaring more
+than MAX_VERTICES vertices, before allocating anything for them: the
+exact searches are exponential, so such inputs could never finish.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from typing import Iterable
 
 from .colouring import Colouring
 from .graphs import Graph, build_graph
+
+
+MAX_VERTICES = 64
 
 
 class FormatError(ValueError):
@@ -42,6 +47,8 @@ def parse_edgelist(text: str) -> Graph:
                 raise FormatError(lineno, f"header values must be integers, got {raw.strip()!r}")
             if n < 0 or m < 0:
                 raise FormatError(lineno, "header values must be non-negative")
+            if n > MAX_VERTICES:
+                raise FormatError(lineno, f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
             continue
         if len(fields) != 2:
             raise FormatError(lineno, f"expected edge 'u v', got {raw.strip()!r}")
@@ -90,6 +97,8 @@ def parse_dimacs(text: str) -> Graph:
                 raise FormatError(lineno, f"vertex count must be an integer, got {fields[2]!r}")
             if n < 0:
                 raise FormatError(lineno, "vertex count must be non-negative")
+            if n > MAX_VERTICES:
+                raise FormatError(lineno, f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
         elif fields[0] == "e":
             if n is None:
                 raise FormatError(lineno, "edge line before problem line")

@@ -86,11 +86,13 @@ class ComponentaResult:
         return len(values) == 1
 
     def to_json_dict(self) -> dict:
+        """Summary with the per-component values (witnesses are in each
+        per-component :class:`JResult`)."""
         return {
             "admits": self.admits,
             "value": self.value,
             "equal_across_components": self.equal_across_components,
-            "per_component": [r.to_json_dict() for r in self.per_component],
+            "per_component": [r.value for r in self.per_component],
         }
 
 
@@ -143,7 +145,7 @@ def j_number(g: Graph) -> JResult:
     """Maximum colour count over J-colourings of connected ``g``, or
     admits=False when no colour count works."""
     _require_connected(g, "j_number")
-    cap = g.min_degree() + 1
+    cap = min(map(len, g.adjacency)) + 1
     return _solve_max(g, covered=frozenset(range(g.n)), cap=cap)
 
 
@@ -169,10 +171,11 @@ def enumerate_j_colourings(g: Graph, k: int) -> Iterator[Colouring]:
         yield Colouring(ell=k, assignment=assign)
 
 
-def _componentwise(g: Graph, solver: Callable[[Graph], JResult]) -> ComponentaResult:
-    if g.n == 0:
+def _componentwise(
+    dec: ComponentDecomposition, solver: Callable[[Graph], JResult]
+) -> ComponentaResult:
+    if dec.parent.n == 0:
         raise ValueError("componentwise numbers of the empty graph are undefined")
-    dec = decompose(g)
     return ComponentaResult(
         decomposition=dec,
         per_component=tuple(solver(comp) for comp in dec.components),
@@ -182,12 +185,12 @@ def _componentwise(g: Graph, solver: Callable[[Graph], JResult]) -> ComponentaRe
 def jc_number(g: Graph) -> ComponentaResult:
     """Componentwise J number: admits iff every component admits a
     J-colouring; value is the maximum per-component J."""
-    return _componentwise(g, j_number)
+    return _componentwise(decompose(g), j_number)
 
 
 def jstarc_number(g: Graph) -> ComponentaResult:
     """Componentwise J* number, symmetric to :func:`jc_number`."""
-    return _componentwise(g, j_star_number)
+    return _componentwise(decompose(g), j_star_number)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,9 @@ claims, in the checker's own labels:
        chi-side convention / exists)
 
 Graphs on which a convention colouring is infeasible are skipped (and
-counted) in convention modes.  Verdicts are deterministic.
+counted) in convention modes.  Verdicts are deterministic.  The
+evaluators read a :class:`~jrainbow.analysis.GraphFacts` record, so
+``check_all`` computes each graph's facts once for every claim and mode.
 """
 
 from __future__ import annotations
@@ -35,14 +37,11 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .colouring import ConventionInfeasibleError, chromatic_number
-from .connectivity import (
-    is_chi_rainbow_connected,
-    is_jc_rainbow_connected,
-    min_rainbow_path_lengths,
-)
-from .graphs import Graph, decompose, degree_profile, has_cycle_length_multiple
-from .jcolouring import enumerate_j_colourings, j_number, jc_number, jstarc_number
+from .analysis import GraphFacts
+from .colouring import ConventionInfeasibleError
+from .connectivity import min_rainbow_path_lengths
+from .graphs import Graph, build_graph, has_cycle_length_multiple
+from .jcolouring import enumerate_j_colourings
 from .neighbourhoods import rainbow_neighbourhood_number
 
 WITNESS_CAP = 5
@@ -73,8 +72,6 @@ class Witness:
     details: tuple[tuple[str, object], ...]
 
     def graph(self) -> Graph:
-        from .graphs import build_graph
-
         return build_graph(self.n, self.edges)
 
     def to_json_dict(self) -> dict:
@@ -117,13 +114,12 @@ class TheoremVerdict:
 _SKIP = "skip"
 
 
-def _check_t1(g: Graph, mode: str | None) -> object:
-    dec = decompose(g)
-    for ci, comp in enumerate(dec.components):
-        res = j_number(comp)
+def _check_t1(facts: GraphFacts, mode: str | None) -> object:
+    for ci in range(len(facts.decomposition)):
+        res = facts.jc.per_component[ci]
         if not res.admits:
             continue
-        chi, _ = chromatic_number(comp)
+        chi, _ = facts.chromatic[ci]
         if not chi <= res.value:
             return (
                 f"component {ci} admits a J-colouring with J={res.value} < chi={chi}",
@@ -132,21 +128,15 @@ def _check_t1(g: Graph, mode: str | None) -> object:
     return None
 
 
-def _full_yield_chi_colouring_exists(comp: Graph) -> bool:
-    chi, _ = chromatic_number(comp)
-    return next(enumerate_j_colourings(comp, chi), None) is not None
-
-
-def _check_t2(g: Graph, mode: str | None) -> object:
-    admits = jc_number(g).admits
+def _check_t2(facts: GraphFacts, mode: str | None) -> object:
     per_component = []
-    dec = decompose(g)
-    for comp in dec.components:
+    for comp in facts.decomposition.components:
         try:
             report = rainbow_neighbourhood_number(comp, mode)
         except ConventionInfeasibleError:
             return _SKIP
         per_component.append((report.r, comp.n))
+    admits = facts.jc.admits
     rhs = all(r == n for r, n in per_component)
     if admits != rhs:
         return (
@@ -156,10 +146,12 @@ def _check_t2(g: Graph, mode: str | None) -> object:
     return None
 
 
-def _check_t3(g: Graph, mode: str | None) -> object:
-    admits = jc_number(g).admits
-    dec = decompose(g)
-    rhs = all(_full_yield_chi_colouring_exists(comp) for comp in dec.components)
+def _check_t3(facts: GraphFacts, mode: str | None) -> object:
+    admits = facts.jc.admits
+    rhs = all(
+        next(enumerate_j_colourings(comp, chi), None) is not None
+        for comp, (chi, _) in zip(facts.decomposition.components, facts.chromatic)
+    )
     if admits != rhs:
         return (
             f"admits={admits} but existence of an all-yield chi-colouring per component is {rhs}",
@@ -168,15 +160,11 @@ def _check_t3(g: Graph, mode: str | None) -> object:
     return None
 
 
-def _is_acyclic(g: Graph) -> bool:
-    return g.m == g.n - len(decompose(g))
-
-
-def _check_t4(g: Graph, mode: str | None) -> object:
-    if g.n < 2 or not _is_acyclic(g):
+def _check_t4(facts: GraphFacts, mode: str | None) -> object:
+    g = facts.graph
+    if g.n < 2 or g.m != g.n - len(facts.decomposition):  # not a forest
         return None
-    jc = jc_number(g)
-    jstarc = jstarc_number(g)
+    jc, jstarc = facts.jc, facts.jstarc
     if not (jc.admits and jstarc.admits):
         return (
             "acyclic graph of order >= 2 without both componentwise numbers defined",
@@ -191,11 +179,11 @@ def _check_t4(g: Graph, mode: str | None) -> object:
     return None
 
 
-def _check_t5(g: Graph, mode: str | None) -> object:
-    jstarc = jstarc_number(g)
+def _check_t5(facts: GraphFacts, mode: str | None) -> object:
+    jstarc = facts.jstarc
     if not jstarc.admits:
         return None
-    bound = degree_profile(g).Delta + 1
+    bound = max(p.Delta for p in facts.degree_profiles) + 1
     if not jstarc.value <= bound:
         return (
             f"jstarc={jstarc.value} exceeds max component Delta + 1 = {bound}",
@@ -204,20 +192,14 @@ def _check_t5(g: Graph, mode: str | None) -> object:
     return None
 
 
-def _check_t6(g: Graph, mode: str | None) -> object:
-    jc = jc_number(g)
-    jstarc = jstarc_number(g)
+def _check_t6(facts: GraphFacts, mode: str | None) -> object:
+    jc, jstarc = facts.jc, facts.jstarc
     if not (jc.admits and jstarc.admits):
         return None
     if jstarc.value <= jc.value:
         return None
-    dec = jc.decomposition
-    argmax = [
-        ci
-        for ci, res in enumerate(jc.per_component)
-        if res.value == jc.value
-    ]
-    if any(degree_profile(dec.components[ci]).pendants for ci in argmax):
+    argmax = [ci for ci, res in enumerate(jc.per_component) if res.value == jc.value]
+    if any(facts.degree_profiles[ci].pendants for ci in argmax):
         return None
     return (
         f"jstarc={jstarc.value} > jc={jc.value} yet no argmax component has a pendant vertex",
@@ -225,40 +207,31 @@ def _check_t6(g: Graph, mode: str | None) -> object:
     )
 
 
-def _check_t7(g: Graph, mode: str | None) -> object:
-    dec = decompose(g)
-    for ci, comp in enumerate(dec.components):
-        res = j_number(comp)
+def _check_t7(facts: GraphFacts, mode: str | None) -> object:
+    for ci in range(len(facts.decomposition)):
+        res = facts.jc.per_component[ci]
         if not res.admits or res.value < 3:
             continue
-        conn = is_jc_rainbow_connected(comp, "exists")
-        if not conn.connected:
+        if facts.jc_rainbow_colouring(ci) is None:
             continue
-        if comp.min_degree() < 2:
+        delta = facts.degree_profiles[ci].delta
+        if delta < 2:
             return (
                 f"component {ci} has J={res.value} >= 3 and is J-rainbow connected "
-                f"but delta={comp.min_degree()} < 2",
-                {"component": ci, "j": res.value, "delta": comp.min_degree()},
+                f"but delta={delta} < 2",
+                {"component": ci, "j": res.value, "delta": delta},
             )
     return None
 
 
-def _check_t8(g: Graph, mode: str | None) -> object:
-    jc = jc_number(g)
-    if not jc.admits:
+def _check_t8(facts: GraphFacts, mode: str | None) -> object:
+    if not facts.jc_rainbow_connected:  # undefined or not connected
         return None
-    conn = is_jc_rainbow_connected(g, "exists")
-    if not conn.connected:
-        return None
-    dec = jc.decomposition
-    for ci, comp in enumerate(dec.components):
+    for ci, comp in enumerate(facts.decomposition.components):
         if comp.n < 2:
             continue
-        colouring = conn.colourings[ci]
-        assert colouring is not None
-        lengths = min_rainbow_path_lengths(comp, colouring)
-        j_i = jc.per_component[ci].value
-        assert j_i is not None
+        lengths = min_rainbow_path_lengths(comp, facts.jc_rainbow_colouring(ci))
+        j_i = facts.jc.per_component[ci].value
         for pair, length in lengths.items():
             if length is None or length < j_i - 1:
                 return (
@@ -269,24 +242,21 @@ def _check_t8(g: Graph, mode: str | None) -> object:
     return None
 
 
-def _check_t9(g: Graph, mode: str | None) -> object:
-    jc = jc_number(g)
-    if not jc.admits:
+def _check_t9(facts: GraphFacts, mode: str | None) -> object:
+    lhs = facts.jc_rainbow_connected
+    if lhs is None:
         return None
-    lhs = is_jc_rainbow_connected(g, "exists").connected
-    dec = jc.decomposition
-    facts = []
-    for ci, comp in enumerate(dec.components):
-        j_i = jc.per_component[ci].value
-        has3 = has_cycle_length_multiple(comp, 3)
-        pendant = bool(degree_profile(comp).pendants)
-        facts.append((j_i, has3, pendant))
-    cycle_clause_all = all((not has3) or (not pendant) for _, has3, pendant in facts)
+    comps = facts.decomposition.components
+    rows = [
+        (res.value, has_cycle_length_multiple(comp, 3), bool(profile.pendants))
+        for comp, res, profile in zip(comps, facts.jc.per_component, facts.degree_profiles)
+    ]
+    cycle_clause_all = all((not has3) or (not pendant) for _, has3, pendant in rows)
     if mode == "parse-a":
-        rhs = any(j_i <= 2 for j_i, _, _ in facts) or cycle_clause_all
+        rhs = any(j_i <= 2 for j_i, _, _ in rows) or cycle_clause_all
     else:  # parse-b: per-component disjunction
         rhs = all(
-            j_i <= 2 or (not has3) or (not pendant) for j_i, has3, pendant in facts
+            j_i <= 2 or (not has3) or (not pendant) for j_i, has3, pendant in rows
         )
     if lhs != rhs:
         return (
@@ -296,18 +266,17 @@ def _check_t9(g: Graph, mode: str | None) -> object:
                 "condition": rhs,
                 "component_facts": [
                     {"j": j_i, "has_cycle_mult3": has3, "has_pendant": pendant}
-                    for j_i, has3, pendant in facts
+                    for j_i, has3, pendant in rows
                 ],
             },
         )
     return None
 
 
-def _check_t10(g: Graph, mode: str | None) -> object:
-    admits = jc_number(g).admits
-    try:
-        chi_conn = is_chi_rainbow_connected(g, mode).connected
-    except ConventionInfeasibleError:
+def _check_t10(facts: GraphFacts, mode: str | None) -> object:
+    admits = facts.jc.admits
+    chi_conn = facts.chi_rainbow_connected(mode)
+    if chi_conn is None:
         return _SKIP
     if admits != chi_conn:
         return (
@@ -316,7 +285,7 @@ def _check_t10(g: Graph, mode: str | None) -> object:
             {"admits": admits, "chi_rainbow_connected": chi_conn, "chi_mode": mode},
         )
     if admits:
-        jc_conn = is_jc_rainbow_connected(g, "exists").connected
+        jc_conn = facts.jc_rainbow_connected
         if jc_conn != chi_conn:
             return (
                 f"chi-rainbow connected ({mode}) = {chi_conn} but componentwise-J "
@@ -331,7 +300,7 @@ def _check_t10(g: Graph, mode: str | None) -> object:
     return None
 
 
-_CHECKERS: dict[str, Callable[[Graph, str | None], object]] = {
+_CHECKERS: dict[str, Callable[[GraphFacts, str | None], object]] = {
     "T1": _check_t1,
     "T2": _check_t2,
     "T3": _check_t3,
@@ -351,12 +320,12 @@ _CHECKERS: dict[str, Callable[[Graph, str | None], object]] = {
 
 def check(
     theorem_id: str,
-    graphs: Sequence[Graph],
+    graphs: Sequence[Graph | GraphFacts],
     corpus: str = "",
     mode: str | None = None,
 ) -> TheoremVerdict:
     """Evaluate one claim over a graph corpus, graph by graph in corpus
-    order."""
+    order.  Each entry is a graph or its facts record."""
     if theorem_id not in _CHECKERS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     modes = THEOREM_MODES[theorem_id]
@@ -368,15 +337,16 @@ def check(
     tested = 0
     skipped = 0
     fails: list[tuple[Graph, str, dict]] = []
-    for g in graphs:
-        outcome = checker(g, mode)
+    for entry in graphs:
+        facts = entry if isinstance(entry, GraphFacts) else GraphFacts(entry)
+        outcome = checker(facts, mode)
         if outcome == _SKIP:
             skipped += 1
             continue
         tested += 1
         if outcome is not None:
             explanation, details = outcome  # type: ignore[misc]
-            fails.append((g, explanation, details))
+            fails.append((facts.graph, explanation, details))
     fails.sort(key=lambda item: (item[0].n, item[0].m, item[0].edges))
     witnesses = tuple(
         Witness(
@@ -405,16 +375,17 @@ def check_all(
     theorems: Iterable[str] | None = None,
 ) -> list[TheoremVerdict]:
     """Run the selected claims (default: all) in every mode, ordered by
-    theorem id then mode."""
+    theorem id then mode.  Each graph's facts are computed once and shared
+    by every claim."""
     selected = tuple(theorems) if theorems is not None else THEOREM_IDS
     for tid in selected:
         if tid not in _CHECKERS:
             raise ValueError(f"unknown theorem id {tid!r}")
-    graphs = list(graphs)
+    records = [GraphFacts(g) for g in graphs]
     verdicts = []
     for tid in sorted(selected, key=lambda t: int(t[1:])):
         for mode in THEOREM_MODES[tid]:
-            verdicts.append(check(tid, graphs, corpus=corpus, mode=mode))
+            verdicts.append(check(tid, records, corpus=corpus, mode=mode))
     return verdicts
 
 

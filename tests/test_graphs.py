@@ -51,6 +51,15 @@ def test_decompose_connected_cycle():
     assert len(decompose(family("cycle", 5))) == 1
 
 
+def test_decompose_connected_graph_is_its_own_component(all_graphs_to_5):
+    for g in all_graphs_to_5:
+        if is_connected(g):
+            dec = decompose(g)
+            assert dec.components[0] is g
+            assert dec.vertices == (tuple(range(g.n)),)
+            assert dec.vertex_map == tuple((0, v) for v in range(g.n))
+
+
 def test_decompose_null_graph():
     dec = decompose(build_graph(4, []))
     assert len(dec) == 4

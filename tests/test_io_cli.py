@@ -13,6 +13,7 @@ from jrainbow import (
     write_edgelist,
 )
 from jrainbow.cli import main
+from jrainbow.io import MAX_VERTICES
 
 from conftest import family
 
@@ -69,6 +70,34 @@ def test_dimacs_errors():
         parse_dimacs("p edge 2 1\ne 1 1\n")
     with pytest.raises(FormatError):
         parse_dimacs("c nothing else\n")
+
+
+def test_parsers_reject_vertex_counts_above_the_limit():
+    assert MAX_VERTICES == 64
+    assert parse_edgelist(f"{MAX_VERTICES} 0\n").n == MAX_VERTICES
+    assert parse_dimacs(f"p edge {MAX_VERTICES} 0\n").n == MAX_VERTICES
+    for parse, text in (
+        (parse_edgelist, "# huge\n1000000000 0\n"),
+        (parse_dimacs, "c huge\np edge 1000000000 0\n"),
+        (parse_edgelist, f"{MAX_VERTICES + 1} 0\n"),
+        (parse_dimacs, f"p edge {MAX_VERTICES + 1} 0\n"),
+    ):
+        with pytest.raises(FormatError) as err:
+            parse(text)
+        assert err.value.line == text.count("\n")
+        assert f"exceeds the limit of {MAX_VERTICES}" in str(err.value)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("huge.edges", "1000000000 0\n"),
+    ("huge.col", "p edge 1000000000 0\n"),
+])
+def test_cli_rejects_huge_vertex_count_exit_2(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and f"exceeds the limit of {MAX_VERTICES}" in err
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,14 @@ from jrainbow import (
     build_graph,
     check,
     check_all,
+    decompose,
     enumerate_graphs,
     enumerate_trees,
     jc_number,
     jstarc_number,
     report,
 )
+from jrainbow import analysis
 from jrainbow.theorems import THEOREM_MODES
 
 from conftest import family
@@ -118,6 +120,31 @@ def test_determinism_across_runs_and_workers(corpus_to_5):
     ref = report(check_all(corpus_to_5, corpus="x"), "json")
     again = report(check_all(corpus_to_5, corpus="x"), "json")
     assert ref == again
+
+
+def test_shared_facts_give_the_verdicts_of_fresh_checks(corpus_to_5):
+    shared = check_all(corpus_to_5, corpus="x")
+    fresh = [
+        check(tid, corpus_to_5, corpus="x", mode=mode)
+        for tid in THEOREM_IDS
+        for mode in THEOREM_MODES[tid]
+    ]
+    assert [v.to_json_dict() for v in shared] == [v.to_json_dict() for v in fresh]
+
+
+def test_check_all_searches_each_component_once(corpus_to_5, monkeypatch):
+    searched = []
+    original = analysis.is_jc_rainbow_connected
+
+    def counting(g, mode="exists", colourings=None):
+        searched.append(g)
+        return original(g, mode, colourings)
+
+    monkeypatch.setattr(analysis, "is_jc_rainbow_connected", counting)
+    check_all(corpus_to_5)
+    assert searched
+    assert len({id(g) for g in searched}) == len(searched)
+    assert len(searched) <= sum(len(decompose(g)) for g in corpus_to_5)
 
 
 def test_verdicts_are_corpus_monotone(corpus_to_5):
