@@ -14,9 +14,15 @@ from functools import cached_property
 from typing import Iterable
 
 from .colouring import Colouring, ConventionInfeasibleError, chromatic_number
-from .connectivity import is_chi_rainbow_connected, is_jc_rainbow_connected
+from .connectivity import _chi_candidates, rainbow_connecting_colouring
 from .graphs import DegreeProfile, Graph, decompose, degree_profile
-from .jcolouring import ComponentaResult, _componentwise, j_number, j_star_number
+from .jcolouring import (
+    ComponentaResult,
+    _componentwise,
+    enumerate_j_colourings,
+    j_number,
+    j_star_number,
+)
 from .neighbourhoods import MODES as RAINBOW_MODES
 from .neighbourhoods import rainbow_neighbourhood_number
 
@@ -61,9 +67,12 @@ class GraphFacts:
         all of its pairs; None when there is none or J is undefined there."""
         if ci not in self._jc_rainbow:
             comp = self.decomposition.components[ci]
+            res = self.jc.per_component[ci]
             self._jc_rainbow[ci] = (
-                is_jc_rainbow_connected(comp, "exists").colourings[0]
-                if self.jc.per_component[ci].admits else None
+                rainbow_connecting_colouring(
+                    comp, res.value, enumerate_j_colourings(comp, res.value)
+                )
+                if res.admits else None
             )
         return self._jc_rainbow[ci]
 
@@ -80,12 +89,21 @@ class GraphFacts:
 
     def chi_rainbow_connected(self, mode: str) -> bool | None:
         """Chromatic rainbow connectivity in ``mode``; None when the
-        convention colouring of some component is infeasible."""
+        convention colouring of some component is infeasible.  Every
+        component's candidates are built before any is searched, so an
+        infeasible convention colouring wins over a refutation."""
         if mode not in self._chi_rainbow:
+            comps = self.decomposition.components
+            chis = [chi for chi, _ in self.chromatic]
             try:
-                self._chi_rainbow[mode] = is_chi_rainbow_connected(self.graph, mode).connected
+                candidates = [_chi_candidates(comp, chi, mode) for comp, chi in zip(comps, chis)]
             except ConventionInfeasibleError:
                 self._chi_rainbow[mode] = None
+            else:
+                self._chi_rainbow[mode] = all(
+                    rainbow_connecting_colouring(comp, chi, cands) is not None
+                    for comp, chi, cands in zip(comps, chis, candidates)
+                )
         return self._chi_rainbow[mode]
 
 

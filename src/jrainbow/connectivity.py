@@ -6,18 +6,31 @@ connected when, under a per-component J-colouring, every pair of distinct
 vertices inside a component is joined by such a path; chi-rainbow
 connectivity asks the same of per-component chromatic colourings.
 
-The path search is exact: depth-first over simple paths, abandoning a
-branch when the target is no longer reachable or when the colours still
-missing cannot all be collected from vertices reachable without revisits.
-That reachability test may overestimate what one simple path can collect,
-so it never prunes a viable branch.  Worst-case exponential; desk scale.
+The path search is exact: depth-first over simple paths, neighbours
+ascending, on int bitmasks of vertices and colours.  A branch is
+abandoned when a flood fill through the vertices off the path no longer
+reaches the target or cannot collect the colours still missing; that
+test may overestimate what one simple path can collect, so it never
+prunes a viable branch.  A (end vertex, on-path mask) state that fails
+is remembered as dead for its target, since nothing else decides whether
+it extends.  Pruning and memo only skip dead branches, so the first path
+found is the first rainbow path in depth-first order.  Worst-case
+exponential; desk scale.
+
+Searching a component for a rainbow-connecting colouring needs only a
+verdict per candidate.  A component with a bridge has no such colouring
+with three or more colours (the bridge is the only path between its
+endpoints and shows two), so those are refuted without a path search;
+otherwise each candidate retries first the pair that failed the
+previous one, and is dropped at its first failing pair.  Only reported
+colourings are scanned pair by pair for witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Sequence
 
 from .colouring import (
     Colouring,
@@ -26,7 +39,7 @@ from .colouring import (
     convention_colouring,
     is_proper,
 )
-from .graphs import ComponentDecomposition, Graph, decompose
+from .graphs import ComponentDecomposition, Graph, decompose, has_bridge
 from .jcolouring import (
     NotJColourable,
     enumerate_j_colourings,
@@ -64,16 +77,65 @@ class RainbowWitness:
             raise AssertionError("path does not cover the full colour set")
 
 
-def _reachable(g: Graph, start: int, blocked: set[int]) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        w = stack.pop()
-        for x in g.adjacency[w]:
-            if x not in seen and x not in blocked:
-                seen.add(x)
-                stack.append(x)
-    return seen
+def _path_finder(g: Graph, colouring: Colouring) -> Callable[[int, int], tuple[int, ...] | None]:
+    """The rainbow-path search of ``g`` under ``colouring``: a function of
+    (u, v) that returns the first rainbow (u, v)-path in depth-first order,
+    neighbours ascending, or None.  Vertex and colour sets are int
+    bitmasks.  A state is the current end w of the path and the mask of
+    path vertices; whether it extends to a rainbow path ending at v depends
+    on nothing else, so states found dead are kept per target and shared
+    by every search of the same finder."""
+    masks = g.adjacency_masks
+    adjacency = g.adjacency
+    n = g.n
+    bits = [1 << (c - 1) for c in colouring.assignment]
+    full = (1 << colouring.ell) - 1
+    dead_by_target: dict[int, set[int]] = {}
+
+    def find(u: int, v: int) -> tuple[int, ...] | None:
+        target = 1 << v
+        dead = dead_by_target.setdefault(v, set())
+        path = [u]
+
+        def extend(w: int, on_path: int, seen: int) -> bool:
+            state = on_path * n + w
+            if state in dead:
+                return False
+            # flood fill from w through vertices off the path, collecting
+            # their colours; it may end at v but not pass through it
+            free = ~on_path
+            colours = seen | bits[v]
+            reach = frontier = masks[w] & free
+            while frontier:
+                step = 0
+                rest = frontier & ~target
+                while rest:
+                    low = rest & -rest
+                    x = low.bit_length() - 1
+                    step |= masks[x]
+                    colours |= bits[x]
+                    rest ^= low
+                frontier = step & free & ~reach
+                reach |= frontier
+            if not reach & target or colours != full:
+                dead.add(state)
+                return False
+            for x in adjacency[w]:
+                if x == v:
+                    if seen | bits[v] == full:
+                        path.append(v)
+                        return True
+                elif not on_path >> x & 1:
+                    path.append(x)
+                    if extend(x, on_path | 1 << x, seen | bits[x]):
+                        return True
+                    path.pop()
+            dead.add(state)
+            return False
+
+        return tuple(path) if extend(u, 1 << u, bits[u]) else None
+
+    return find
 
 
 def rainbow_path_exists(
@@ -90,47 +152,46 @@ def rainbow_path_exists(
         raise ValueError(f"pair ({u}, {v}) outside 0..{g.n - 1}")
     if not is_proper(g, colouring):
         raise ValueError("colouring is not proper on this graph")
-    full = frozenset(range(1, colouring.ell + 1))
-    assign = colouring.assignment
-
-    path = [u]
-    on_path = {u}
-
-    def dfs() -> tuple[int, ...] | None:
-        w = path[-1]
-        blocked = on_path - {w}
-        reach = _reachable(g, w, blocked)
-        if v not in reach:
-            return None
-        collectable = {assign[x] for x in reach}
-        collectable.update(assign[x] for x in path)
-        if not full <= collectable:
-            return None
-        for x in g.adjacency[w]:
-            if x == v:
-                candidate = tuple(path) + (v,)
-                if full <= {assign[y] for y in candidate}:
-                    return candidate
-            elif x not in on_path:
-                path.append(x)
-                on_path.add(x)
-                found = dfs()
-                path.pop()
-                on_path.remove(x)
-                if found is not None:
-                    return found
-        return None
-
-    found = dfs()
+    found = _path_finder(g, colouring)(u, v)
     if found is None:
         return None
     witness = RainbowWitness(
         pair=(u, v),
         path=found,
-        colours_seen=frozenset(assign[w] for w in found),
+        colours_seen=frozenset(colouring.assignment[w] for w in found),
     )
     witness.validate(g, colouring)
     return witness
+
+
+def rainbow_connecting_colouring(
+    comp: Graph, ell: int, candidates: Iterable[Colouring]
+) -> Colouring | None:
+    """The first of ``candidates`` under which every pair of distinct
+    vertices of the connected graph ``comp`` is joined by a rainbow path,
+    or None when there is none.  Every candidate is a proper colouring
+    with ``ell`` colours.
+
+    With ell >= 3 a bridge refutes every candidate unseen: its endpoints
+    are joined by no path but the bridge itself, which shows two colours.
+    Otherwise each candidate first retries the pair that failed the one
+    before it, and is dropped at its first failing pair.
+    """
+    if ell >= 3 and has_bridge(comp):
+        return None
+    pairs = list(combinations(range(comp.n), 2))
+    failing = None
+    for col in candidates:
+        find = _path_finder(comp, col)
+        if failing is not None and find(*failing) is None:
+            continue
+        for pair in pairs:
+            if pair != failing and find(*pair) is None:
+                failing = pair
+                break
+        else:
+            return col
+    return None
 
 
 def min_rainbow_path_lengths(
@@ -203,58 +264,27 @@ class ConnectivityReport:
         }
 
 
-def _scan_pairs(
-    comp: Graph, colouring: Colouring, stop_at_failure: bool
-) -> tuple[list[tuple[tuple[int, int], tuple[int, ...]]], list[tuple[int, int]]]:
-    """Witness paths and failed pairs of ``comp`` under ``colouring``, in
-    pair order; with ``stop_at_failure`` the scan ends at the first failure."""
-    witnesses: list[tuple[tuple[int, int], tuple[int, ...]]] = []
-    failed: list[tuple[int, int]] = []
-    for u, v in combinations(range(comp.n), 2):
-        w = rainbow_path_exists(comp, colouring, u, v)
-        if w is None:
-            failed.append((u, v))
-            if stop_at_failure:
-                break
-        else:
-            witnesses.append(((u, v), w.path))
-    return witnesses, failed
-
-
-def _to_parent(verts: tuple[int, ...], local: Iterable[int]) -> tuple[int, ...]:
-    return tuple(verts[w] for w in local)
-
-
-def _rainbow_connectivity(
-    dec: ComponentDecomposition,
-    mode: str,
-    candidates: Iterable[Iterable[Colouring]],
+def _report(
+    dec: ComponentDecomposition, mode: str, colourings: Sequence[Colouring | None]
 ) -> ConnectivityReport:
-    """Per component, the first candidate colouring that rainbow-connects
-    every pair.  In mode "exists" a component without one records None;
-    in the other modes each component has a single candidate, recorded
-    with its witnesses and failed pairs whether or not it connects."""
-    search = mode == "exists"
-    used: list[Colouring | None] = []
-    witness_paths: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    failed_pairs: list[tuple[int, ...]] = []
-    for verts, comp, cands in zip(dec.vertices, dec.components, candidates):
-        chosen = None
-        for col in cands:
-            wit, failed = _scan_pairs(comp, col, stop_at_failure=search)
-            if search and failed:
-                continue
-            chosen = col
-            witness_paths.extend(
-                (_to_parent(verts, pair), _to_parent(verts, path)) for pair, path in wit
-            )
-            failed_pairs.extend(_to_parent(verts, pair) for pair in failed)
-            break
-        used.append(chosen)
+    """Report on one colouring per component (None where a search found
+    none that connects): every pair's witness path or failure, in pair
+    order, on parent vertex ids."""
+    witness_paths: list[tuple[tuple[int, int], tuple[int, ...]]] = []
+    failed_pairs: list[tuple[int, int]] = []
+    for verts, comp, col in zip(dec.vertices, dec.components, colourings):
+        if col is None:
+            continue
+        for u, v in combinations(range(comp.n), 2):
+            w = rainbow_path_exists(comp, col, u, v)
+            if w is None:
+                failed_pairs.append((verts[u], verts[v]))
+            else:
+                witness_paths.append(((verts[u], verts[v]), tuple(verts[x] for x in w.path)))
     return ConnectivityReport(
-        connected=None not in used and not failed_pairs,
+        connected=None not in colourings and not failed_pairs,
         mode=mode,
-        colourings=tuple(used),
+        colourings=tuple(colourings),
         witness_paths=tuple(witness_paths),
         failed_pairs=tuple(failed_pairs),
     )
@@ -290,20 +320,28 @@ def is_jc_rainbow_connected(
         for comp, col in zip(dec.components, colourings):
             if not is_j_colouring(comp, col):
                 raise ValueError("supplied colouring is not a J-colouring of its component")
-        candidates = [(col,) for col in colourings]
     else:
-        candidates = [
-            enumerate_j_colourings(comp, res.value)
+        colourings = tuple(
+            rainbow_connecting_colouring(comp, res.value, enumerate_j_colourings(comp, res.value))
             for comp, res in zip(dec.components, result.per_component)
-        ]
-    return _rainbow_connectivity(dec, mode, candidates)
+        )
+    return _report(dec, mode, colourings)
 
 
-def _canonical_colourings(comp: Graph, chi: int) -> Iterator[Colouring]:
-    # rainbow connectivity is invariant under colour permutation, so one
-    # representative per permutation class suffices
-    for assign in _search_colourings(comp, chi, canonical=True):
-        yield Colouring(ell=chi, assignment=assign)
+def _chi_candidates(comp: Graph, chi: int, mode: str) -> Iterable[Colouring]:
+    """The chi-colourings of one component that ``mode`` considers: the
+    convention colouring alone, built at once so that its infeasibility
+    raises here, or lazily every surjective proper one.  Rainbow
+    connectivity is invariant under colour permutation, so one
+    representative per permutation class suffices."""
+    if mode == "convention":
+        return (convention_colouring(comp, chi),)
+    if mode == "exists":
+        return (
+            Colouring(ell=chi, assignment=assign)
+            for assign in _search_colourings(comp, chi, canonical=True)
+        )
+    raise ValueError(f"mode must be one of {CHI_MODES}, got {mode!r}")
 
 
 def is_chi_rainbow_connected(g: Graph, mode: str = "exists") -> ConnectivityReport:
@@ -316,14 +354,14 @@ def is_chi_rainbow_connected(g: Graph, mode: str = "exists") -> ConnectivityRepo
     """
     if g.n == 0:
         raise ValueError("connectivity of the empty graph is undefined")
-    if mode not in CHI_MODES:
-        raise ValueError(f"mode must be one of {CHI_MODES}, got {mode!r}")
     dec = decompose(g)
-    candidates = []
-    for comp in dec.components:
-        chi, _ = chromatic_number(comp)
-        if mode == "convention":
-            candidates.append((convention_colouring(comp, chi),))
-        else:
-            candidates.append(_canonical_colourings(comp, chi))
-    return _rainbow_connectivity(dec, mode, candidates)
+    chis = [chromatic_number(comp)[0] for comp in dec.components]
+    candidates = [_chi_candidates(comp, chi, mode) for comp, chi in zip(dec.components, chis)]
+    if mode == "convention":
+        colourings = [cands[0] for cands in candidates]
+    else:
+        colourings = [
+            rainbow_connecting_colouring(comp, chi, cands)
+            for comp, chi, cands in zip(dec.components, chis, candidates)
+        ]
+    return _report(dec, mode, colourings)

@@ -10,6 +10,7 @@ the analysis operations that need at least one vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -36,6 +37,12 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
+
+    @cached_property
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """Neighbours of each vertex as an int bitmask (bit u for vertex
+        u), built on first use and then kept with the graph."""
+        return tuple(sum(1 << u for u in nbrs) for nbrs in self.adjacency)
 
     def __repr__(self) -> str:  # compact, deterministic
         return f"Graph(n={self.n}, edges={list(self.edges)})"
@@ -106,6 +113,39 @@ def _flood(g: Graph, start: int) -> set[int]:
 def is_connected(g: Graph) -> bool:
     """True for graphs with at most one vertex and for connected graphs."""
     return g.n <= 1 or len(_flood(g, 0)) == g.n
+
+
+def has_bridge(g: Graph) -> bool:
+    """True when some edge of ``g`` lies on no cycle, so that removing it
+    disconnects its endpoints.  Tarjan's linear-time low-link search ("A
+    note on finding the bridges of a graph", 1974): tree edge (p, v) is a
+    bridge when no back edge from v's subtree reaches p or above."""
+    disc = [-1] * g.n  # discovery time
+    low = [0] * g.n  # earliest discovery time one back edge reaches from the subtree
+    clock = 0
+    for root in range(g.n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        stack = [(root, -1, iter(g.adjacency[root]))]
+        while stack:
+            v, parent, nbrs = stack[-1]
+            for x in nbrs:
+                if disc[x] < 0:
+                    disc[x] = low[x] = clock
+                    clock += 1
+                    stack.append((x, v, iter(g.adjacency[x])))
+                    break
+                if x != parent:
+                    low[v] = min(low[v], disc[x])
+            else:
+                stack.pop()
+                if parent >= 0:
+                    if low[v] > disc[parent]:
+                        return True
+                    low[parent] = min(low[parent], low[v])
+    return False
 
 
 @dataclass(frozen=True)

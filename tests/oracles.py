@@ -109,6 +109,15 @@ def naive_components(g: Graph) -> list[tuple[list[int], Graph]]:
     return out
 
 
+def naive_bridges(g: Graph) -> list[tuple[int, int]]:
+    """Edges whose removal leaves more components than ``g`` has."""
+    count = len(naive_components(g))
+    return [
+        e for e in g.edges
+        if len(naive_components(build_graph(g.n, [f for f in g.edges if f != e]))) > count
+    ]
+
+
 def naive_all_yield(g: Graph, colouring: Colouring, vertices=None) -> bool:
     """Every vertex (or every one of ``vertices``) sees all colours in its
     closed neighbourhood."""

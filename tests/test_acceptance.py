@@ -458,6 +458,10 @@ GOLDEN_CASES = [
         "check_max_n5_all.json",
         ["check", "--max-n", "5", "--theorems", "all", "--json", "-"],
     ),
+    (
+        "check_max_n7_all.json",
+        ["check", "--max-n", "7", "--theorems", "all", "--json", "-"],
+    ),
 ]
 
 

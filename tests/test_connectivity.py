@@ -4,8 +4,12 @@ from jrainbow import (
     Colouring,
     ConventionInfeasibleError,
     FamilySpec,
+    GraphFacts,
     NotJColourable,
     build_graph,
+    chromatic_number,
+    decompose,
+    enumerate_graphs,
     is_chi_rainbow_connected,
     is_jc_rainbow_connected,
     is_j_colouring,
@@ -14,10 +18,13 @@ from jrainbow import (
     min_rainbow_path_lengths,
     rainbow_path_exists,
 )
+from jrainbow.graphs import has_bridge
 
 from conftest import family, union
 from oracles import (
+    all_simple_paths,
     naive_all_yield,
+    naive_bridges,
     naive_chromatic,
     naive_components,
     naive_rainbow_path_exists,
@@ -268,3 +275,100 @@ def test_whole_graph_predicates_match_brute_force_oracle(all_graphs_to_6):
         failures_seen["convention"] += bool(rep.failed_pairs)
     # both single-colouring modes meet graphs with unconnected pairs
     assert all(failures_seen.values()), failures_seen
+
+
+# ---------------------------------------------------------------------------
+# Bridge rule, witnesses and verdict-only searches
+# ---------------------------------------------------------------------------
+
+def test_bridge_rule_refutes_every_colouring_with_three_colours(all_graphs_to_6):
+    # a component with a bridge has no rainbow-connecting colouring with
+    # ell >= 3 colours, at ell = chi and at ell = J; oracles only
+    settled: dict[tuple, list[int]] = {}
+    for g in all_graphs_to_6:
+        for _, comp in naive_components(g):
+            key = (comp.n, comp.edges)
+            if key in settled or not naive_bridges(comp):
+                continue
+            j_colourings = _naive_j_colourings(comp)
+            ells = {naive_chromatic(comp)}
+            if j_colourings:
+                ells.add(j_colourings[0].ell)
+            settled[key] = [ell for ell in sorted(ells) if ell >= 3]
+            for ell in settled[key]:
+                assert all(
+                    _naive_failed_pairs(comp, col)
+                    for col in naive_surjective_proper_colourings(comp, ell)
+                ), (comp, ell)
+    assert sum(map(len, settled.values())) > 0
+
+
+def test_has_bridge_matches_edge_removal_oracle():
+    for n in range(1, 8):
+        for g in enumerate_graphs(n, connected_only=True):
+            assert has_bridge(g) == bool(naive_bridges(g)), g
+
+
+def _first_oracle_rainbow_path(g, colouring, u, v):
+    full = set(range(1, colouring.ell + 1))
+    return next(
+        (p for p in all_simple_paths(g, u, v) if {colouring.assignment[w] for w in p} == full),
+        None,
+    )
+
+
+def test_witnesses_are_the_first_oracle_rainbow_paths(connected_to_6):
+    # the search returns the first rainbow path in ascending depth-first
+    # order, whatever it prunes or remembers on the way
+    for g in connected_to_6:
+        colourings = [chromatic_number(g)[1]]
+        res = j_number(g)
+        if res.admits:
+            colourings.append(res.witness)
+        for col in colourings:
+            for u in range(g.n):
+                for v in range(g.n):
+                    if u == v:
+                        continue
+                    w = rainbow_path_exists(g, col, u, v)
+                    expected = _first_oracle_rainbow_path(g, col, u, v)
+                    assert (None if w is None else w.path) == expected, (g, col, u, v)
+
+
+def _chi_verdict(g, mode):
+    try:
+        return is_chi_rainbow_connected(g, mode).connected
+    except ConventionInfeasibleError:
+        return None
+
+
+def test_verdicts_equal_reports(all_graphs_to_6):
+    for g in all_graphs_to_6:
+        facts = GraphFacts(g)
+        for mode in ("convention", "exists"):
+            assert facts.chi_rainbow_connected(mode) == _chi_verdict(g, mode), (g, mode)
+        for ci, comp in enumerate(facts.decomposition.components):
+            if facts.jc.per_component[ci].admits:
+                expected = is_jc_rainbow_connected(comp, "exists").colourings[0]
+            else:
+                expected = None
+            assert facts.jc_rainbow_colouring(ci) == expected, (g, ci)
+
+
+def test_convention_infeasibility_wins_over_a_bridge_refutation():
+    infeasible = next(
+        g
+        for n in range(1, 7)
+        for g in enumerate_graphs(n, connected_only=True)
+        if _chi_verdict(g, "convention") is None
+    )
+    # two triangles joined by a bridge: convention-feasible, refuted by the rule
+    bridged = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]
+    assert GraphFacts(build_graph(6, bridged)).chi_rainbow_connected("convention") is False
+    g = build_graph(6 + infeasible.n, bridged + [(u + 6, v + 6) for u, v in infeasible.edges])
+    assert len(decompose(g)) == 2
+    facts = GraphFacts(g)
+    assert facts.chi_rainbow_connected("convention") is None
+    assert facts.chi_rainbow_connected("exists") is False
+    with pytest.raises(ConventionInfeasibleError):
+        is_chi_rainbow_connected(g, "convention")

@@ -133,14 +133,16 @@ def test_shared_facts_give_the_verdicts_of_fresh_checks(corpus_to_5):
 
 
 def test_check_all_searches_each_component_once(corpus_to_5, monkeypatch):
+    # each J-rainbow search of a component draws its candidates from one
+    # enumerate_j_colourings stream; the chi verdicts draw on other streams
     searched = []
-    original = analysis.is_jc_rainbow_connected
+    original = analysis.enumerate_j_colourings
 
-    def counting(g, mode="exists", colourings=None):
+    def counting(g, ell):
         searched.append(g)
-        return original(g, mode, colourings)
+        return original(g, ell)
 
-    monkeypatch.setattr(analysis, "is_jc_rainbow_connected", counting)
+    monkeypatch.setattr(analysis, "enumerate_j_colourings", counting)
     check_all(corpus_to_5)
     assert searched
     assert len({id(g) for g in searched}) == len(searched)
