@@ -42,8 +42,6 @@ class GraphFacts:
     def __init__(self, g: Graph) -> None:
         self.graph = g
         self.decomposition = decompose(g)
-        self._jc_rainbow: dict[int, Colouring | None] = {}
-        self._chi_rainbow: dict[str, bool | None] = {}
 
     @cached_property
     def chromatic(self) -> tuple[tuple[int, Colouring], ...]:
@@ -61,6 +59,30 @@ class GraphFacts:
     @cached_property
     def jstarc(self) -> ComponentaResult:
         return _componentwise(self.decomposition, j_star_number)
+
+    @cached_property
+    def all_yield_chi(self) -> tuple[bool, ...]:
+        """Per component: whether some surjective proper chi-colouring makes
+        every vertex yield, i.e. is a J-colouring on chi colours.  A
+        J-colouring is proper, so J >= chi: without J there is none, at
+        J = chi the J witness is one, and only J > chi needs a search."""
+        return tuple(
+            res.admits
+            and (res.value == chi or next(enumerate_j_colourings(comp, chi), None) is not None)
+            for comp, res, (chi, _) in zip(
+                self.decomposition.components, self.jc.per_component, self.chromatic
+            )
+        )
+
+    # memo tables of the two methods below, made on first use: most
+    # records of a corpus run never need them
+    @cached_property
+    def _jc_rainbow(self) -> dict[int, Colouring | None]:
+        return {}
+
+    @cached_property
+    def _chi_rainbow(self) -> dict[str, bool | None]:
+        return {}
 
     def jc_rainbow_colouring(self, ci: int) -> Colouring | None:
         """First maximum J-colouring of component ``ci`` that rainbow-connects

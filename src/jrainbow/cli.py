@@ -30,7 +30,7 @@ from .analysis import (
     render_text,
 )
 from .colouring import Colouring, ConventionInfeasibleError, convention_colouring
-from .connectivity import rainbow_path_exists
+from .connectivity import rainbow_path_finder
 from .families import KINDS, FamilySpec, enumerate_graphs, generate, oracle_j, oracle_j_star
 from .graphs import ComponentDecomposition, Graph
 from .io import FormatError, export_dot, read_graph
@@ -226,6 +226,9 @@ def _cmd_rainbow(args: argparse.Namespace) -> int:
     entries = []
     witness_paths = []
     vertex_map = dec.vertex_map
+    finders = [
+        rainbow_path_finder(comp, col) for comp, col in zip(dec.components, comp_colourings)
+    ]
     for u, v in pairs:
         cu, lu = vertex_map[u]
         cv, lv = vertex_map[v]
@@ -235,9 +238,7 @@ def _cmd_rainbow(args: argparse.Namespace) -> int:
                  "reason": "different components"}
             )
             continue
-        comp = dec.components[cu]
-        col = comp_colourings[cu]
-        witness = rainbow_path_exists(comp, col, lu, lv)
+        witness = finders[cu](lu, lv)
         if witness is None:
             entries.append({"pair": [u, v], "exists": False, "path": None, "reason": None})
         else:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .graphs import Graph, complement
+from .graphs import Graph
 
 
 class ConventionInfeasibleError(ValueError):
@@ -181,10 +181,33 @@ def greedy_colouring(g: Graph) -> Colouring:
 
 
 def clique_number(g: Graph) -> int:
-    """Exact clique number via a maximum independent set of the complement."""
-    if g.n == 0:
-        return 0
-    return len(maximum_independent_set(complement(g)))
+    """Exact clique number (0 for the empty graph).
+
+    Branch and bound on int bitmasks: a clique grows by the lowest
+    candidate vertex, whose neighbours become the next candidates, and a
+    branch stops when all its candidates together could not beat the
+    largest clique found so far.  The neighbour masks are local rather
+    than ``Graph.adjacency_masks``, so no mask tuple stays cached on each
+    graph of a corpus.
+    """
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    best = 0
+
+    def grow(size: int, candidates: int) -> None:
+        nonlocal best
+        while candidates:
+            if size + candidates.bit_count() <= best:
+                return
+            low = candidates & -candidates
+            candidates ^= low
+            grow(size + 1, candidates & masks[low.bit_length() - 1])
+        best = max(best, size)
+
+    grow(0, (1 << g.n) - 1)
+    return best
 
 
 def chromatic_number(g: Graph) -> tuple[int, Colouring]:

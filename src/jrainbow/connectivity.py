@@ -138,6 +138,33 @@ def _path_finder(g: Graph, colouring: Colouring) -> Callable[[int, int], tuple[i
     return find
 
 
+def rainbow_path_finder(
+    g: Graph, colouring: Colouring
+) -> Callable[[int, int], RainbowWitness | None]:
+    """The witness search of ``g`` under the proper ``colouring``: a
+    function of a pair (u, v) of distinct vertices that returns the first
+    rainbow (u,v)-path in depth-first order, validated, or None.  One
+    finder serves every pair of a colouring and shares its dead states
+    among them."""
+    if not is_proper(g, colouring):
+        raise ValueError("colouring is not proper on this graph")
+    find = _path_finder(g, colouring)
+
+    def witness(u: int, v: int) -> RainbowWitness | None:
+        found = find(u, v)
+        if found is None:
+            return None
+        w = RainbowWitness(
+            pair=(u, v),
+            path=found,
+            colours_seen=frozenset(colouring.assignment[x] for x in found),
+        )
+        w.validate(g, colouring)
+        return w
+
+    return witness
+
+
 def rainbow_path_exists(
     g: Graph, colouring: Colouring, u: int, v: int
 ) -> RainbowWitness | None:
@@ -150,18 +177,7 @@ def rainbow_path_exists(
         raise ValueError("rainbow paths are defined for pairs of distinct vertices")
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError(f"pair ({u}, {v}) outside 0..{g.n - 1}")
-    if not is_proper(g, colouring):
-        raise ValueError("colouring is not proper on this graph")
-    found = _path_finder(g, colouring)(u, v)
-    if found is None:
-        return None
-    witness = RainbowWitness(
-        pair=(u, v),
-        path=found,
-        colours_seen=frozenset(colouring.assignment[w] for w in found),
-    )
-    witness.validate(g, colouring)
-    return witness
+    return rainbow_path_finder(g, colouring)(u, v)
 
 
 def rainbow_connecting_colouring(
@@ -275,8 +291,9 @@ def _report(
     for verts, comp, col in zip(dec.vertices, dec.components, colourings):
         if col is None:
             continue
+        find = rainbow_path_finder(comp, col)
         for u, v in combinations(range(comp.n), 2):
-            w = rainbow_path_exists(comp, col, u, v)
+            w = find(u, v)
             if w is None:
                 failed_pairs.append((verts[u], verts[v]))
             else:

@@ -11,9 +11,11 @@ admits one.
 
 Since a yielding vertex v needs all ell colours inside N[v], any
 J-colouring satisfies ell <= delta(G)+1, and a J*-colouring satisfies
-ell <= min over internal vertices of (deg+1).  The solvers search colour
-counts downward from those caps and return the first success, which is
-the maximum by construction.
+ell <= min over internal vertices of (deg+1).  Both are proper, so
+ell >= chi(G) >= omega(G), the clique number.  The solvers search colour
+counts downward from the caps to omega and return the first success,
+which is the maximum by construction; below omega every search would
+fail.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .colouring import (
     Colouring,
     ColouringPredicate,
     _search_colourings,
+    clique_number,
     enumerate_proper_colourings,
     is_proper,
 )
@@ -132,9 +135,11 @@ def is_j_star_colouring(g: Graph, colouring: Colouring) -> bool:
 # ---------------------------------------------------------------------------
 
 def _solve_max(g: Graph, covered: frozenset[int], cap: int) -> JResult:
-    """Largest k in 1..cap admitting a surjective proper k-colouring whose
-    ``covered`` vertices all yield; first witness in canonical order."""
-    for k in range(min(cap, g.n), 0, -1):
+    """Largest k in omega..cap admitting a surjective proper k-colouring
+    whose ``covered`` vertices all yield; first witness in canonical
+    order.  No proper colouring has fewer colours than the clique number
+    omega, so no smaller k is tried."""
+    for k in range(min(cap, g.n), clique_number(g) - 1, -1):
         for assign in _search_colourings(g, k, covered=covered, canonical=True):
             return JResult(admits=True, value=k, witness=Colouring(ell=k, assignment=assign))
     return JResult(admits=False)

@@ -41,7 +41,6 @@ from .analysis import GraphFacts
 from .colouring import ConventionInfeasibleError
 from .connectivity import min_rainbow_path_lengths
 from .graphs import Graph, build_graph, has_cycle_length_multiple
-from .jcolouring import enumerate_j_colourings
 from .neighbourhoods import rainbow_neighbourhood_number
 
 WITNESS_CAP = 5
@@ -129,6 +128,11 @@ def _check_t1(facts: GraphFacts, mode: str | None) -> object:
 
 
 def _check_t2(facts: GraphFacts, mode: str | None) -> object:
+    admits = facts.jc.admits
+    # r = n on a component exactly when some chi-colouring makes every
+    # vertex yield, so exists-max computes r only for a counterexample
+    if mode == "exists-max" and admits == all(facts.all_yield_chi):
+        return None
     per_component = []
     for comp in facts.decomposition.components:
         try:
@@ -136,7 +140,6 @@ def _check_t2(facts: GraphFacts, mode: str | None) -> object:
         except ConventionInfeasibleError:
             return _SKIP
         per_component.append((report.r, comp.n))
-    admits = facts.jc.admits
     rhs = all(r == n for r, n in per_component)
     if admits != rhs:
         return (
@@ -148,10 +151,7 @@ def _check_t2(facts: GraphFacts, mode: str | None) -> object:
 
 def _check_t3(facts: GraphFacts, mode: str | None) -> object:
     admits = facts.jc.admits
-    rhs = all(
-        next(enumerate_j_colourings(comp, chi), None) is not None
-        for comp, (chi, _) in zip(facts.decomposition.components, facts.chromatic)
-    )
+    rhs = all(facts.all_yield_chi)
     if admits != rhs:
         return (
             f"admits={admits} but existence of an all-yield chi-colouring per component is {rhs}",

@@ -34,6 +34,16 @@ def naive_chromatic(g: Graph) -> int:
     raise AssertionError("unreachable")
 
 
+def naive_clique_number(g: Graph) -> int:
+    """Size of the largest vertex subset whose pairs are all edges, by
+    scanning subsets from the largest size down; 0 without vertices."""
+    for size in range(g.n, 0, -1):
+        for combo in itertools.combinations(range(g.n), size):
+            if all(g.has_edge(u, v) for u, v in itertools.combinations(combo, 2)):
+                return size
+    return 0
+
+
 def naive_surjective_proper_colourings(g: Graph, k: int) -> list[Colouring]:
     """Filter the full k^n assignment space."""
     out = []

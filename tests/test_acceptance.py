@@ -462,6 +462,10 @@ GOLDEN_CASES = [
         "check_max_n7_all.json",
         ["check", "--max-n", "7", "--theorems", "all", "--json", "-"],
     ),
+    (
+        "check_max_n8_t1_t3_t4_t5_t6.json",
+        ["check", "--max-n", "8", "--theorems", "T1,T3,T4,T5,T6", "--json", "-"],
+    ),
 ]
 
 

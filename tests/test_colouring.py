@@ -7,6 +7,7 @@ from jrainbow import (
     chromatic_number,
     convention_colouring,
     degree_profile,
+    enumerate_graphs,
     enumerate_proper_colourings,
     inverse_colouring,
     is_proper,
@@ -17,6 +18,7 @@ from jrainbow.colouring import clique_number
 from conftest import family
 from oracles import (
     naive_chromatic,
+    naive_clique_number,
     naive_mis_lex,
     naive_surjective_proper_colourings,
 )
@@ -78,6 +80,14 @@ def test_clique_number_small():
     assert clique_number(family("complete", 5)) == 5
     assert clique_number(family("cycle", 5)) == 2
     assert clique_number(PETERSEN) == 2
+
+
+def test_clique_number_matches_subset_scan():
+    # every graph with n <= 7, edgeless and disconnected ones included
+    assert clique_number(build_graph(0, [])) == naive_clique_number(build_graph(0, [])) == 0
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            assert clique_number(g) == naive_clique_number(g), g.edges
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from jrainbow.cli import main
 from jrainbow.io import MAX_VERTICES
 
 from conftest import family
+from oracles import naive_components, naive_rainbow_path_exists
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +218,31 @@ def test_cli_rainbow_all_pairs_cross_component(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     cross = [e for e in doc["pairs"] if e["pair"] == [0, 2]][0]
     assert cross["exists"] is False and cross["reason"] == "different components"
+
+
+def test_cli_rainbow_all_pairs_match_the_path_oracle(tmp_path, capsys, all_graphs_to_5):
+    # every pair of every graph with n <= 5, disconnected ones included,
+    # against an exhaustive path scan under the colouring the JSON reports
+    path = tmp_path / "g.edges"
+    for g in all_graphs_to_5:
+        path.write_text(write_edgelist(g))
+        assert main(["rainbow", str(path), "--all-pairs", "--json", "-"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        local = {}
+        for ci, (verts, comp) in enumerate(naive_components(g)):
+            col = Colouring(**doc["colourings"][ci])
+            for i, v in enumerate(verts):
+                local[v] = (ci, i, comp, col)
+        for entry in doc["pairs"]:
+            (cu, lu, comp, col), (cv, lv, _, _) = (local[x] for x in entry["pair"])
+            expected = cu == cv and naive_rainbow_path_exists(comp, col, lu, lv)
+            assert entry["exists"] == expected, (g.edges, entry)
+            if expected:
+                steps = entry["path"]
+                assert (steps[0], steps[-1]) == tuple(entry["pair"])
+                assert len(set(steps)) == len(steps)
+                assert all(g.has_edge(a, b) for a, b in zip(steps, steps[1:]))
+                assert {col.assignment[local[x][1]] for x in steps} == set(range(1, col.ell + 1))
 
 
 def test_cli_rainbow_fallback_colouring(tmp_path, capsys):

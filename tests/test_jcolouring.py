@@ -20,7 +20,8 @@ from jrainbow import (
 )
 
 from conftest import family, union
-from jrainbow import FamilySpec
+from jrainbow import FamilySpec, jcolouring
+from oracles import naive_clique_number
 
 
 def test_jresult_fields_must_agree():
@@ -129,13 +130,32 @@ def test_bounds_on_small_graphs(connected_to_6):
 
 def test_solver_matches_brute_force_scan():
     # dual route over every connected graph with n <= 7: the pruned
-    # solver against a plain scan of the colouring enumeration
+    # solver against a plain scan of the colouring enumeration.  The scan
+    # returns the lexicographically first qualifying colouring, which is
+    # in first-use order, so the witnesses agree as well as the values
     for n in range(1, 8):
         for g in enumerate_graphs(n, connected_only=True):
-            fast, slow = j_number(g), brute_force_j_number(g)
-            assert (fast.admits, fast.value) == (slow.admits, slow.value)
-            fast, slow = j_star_number(g), brute_force_j_number(g, star=True)
-            assert (fast.admits, fast.value) == (slow.admits, slow.value)
+            assert j_number(g) == brute_force_j_number(g), g.edges
+            assert j_star_number(g) == brute_force_j_number(g, star=True), g.edges
+
+
+def test_solvers_never_search_below_the_clique_number(connected_to_6, monkeypatch):
+    # no proper colouring has fewer colours than omega, so such a search
+    # could only fail; the uncached solvers run so every graph is solved
+    searched = []
+    original = jcolouring._search_colourings
+
+    def counting(g, k, **kwargs):
+        searched.append(k)
+        return original(g, k, **kwargs)
+
+    monkeypatch.setattr(jcolouring, "_search_colourings", counting)
+    for g in connected_to_6:
+        omega = naive_clique_number(g)
+        for solver in (j_number, j_star_number):
+            searched.clear()
+            solver.__wrapped__(g)
+            assert all(k >= omega for k in searched), (g.edges, solver.__name__, searched)
 
 
 def test_j_at_most_j_star_when_admitting(connected_to_6):

@@ -7,9 +7,11 @@ from jrainbow import (
     build_graph,
     check,
     check_all,
+    chromatic_number,
     decompose,
     enumerate_graphs,
     enumerate_trees,
+    j_number,
     jc_number,
     jstarc_number,
     report,
@@ -18,7 +20,12 @@ from jrainbow import analysis
 from jrainbow.theorems import THEOREM_MODES
 
 from conftest import family
-from oracles import naive_all_yield, naive_chromatic, naive_surjective_proper_colourings
+from oracles import (
+    naive_all_yield,
+    naive_chromatic,
+    naive_components,
+    naive_surjective_proper_colourings,
+)
 
 
 @pytest.fixture(scope="module")
@@ -66,13 +73,16 @@ def test_t2_convention_skips_infeasible():
     assert verdict.skipped == 0 and verdict.tested == 1
 
 
+# a connected 8-vertex graph with chi = 3 and J = 4: a chromatic colouring
+# never makes every vertex yield, yet a 4-colouring does
+ORDER_8_WITNESS = build_graph(8, [
+    (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (2, 7),
+    (3, 6), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7),
+])
+
+
 def test_t2_exists_max_and_t3_refuted_at_order_eight():
-    # a connected 8-vertex graph with chi = 3 and J = 4: a chromatic
-    # colouring never makes every vertex yield, yet a 4-colouring does
-    g = build_graph(8, [
-        (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (2, 7),
-        (3, 6), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7),
-    ])
+    g = ORDER_8_WITNESS
     assert g in enumerate_graphs(8)  # the corpus representative itself
     for tid, mode in (("T2", "exists-max"), ("T3", None)):
         verdict = check(tid, [g], corpus="order-8 witness", mode=mode)
@@ -147,6 +157,44 @@ def test_check_all_searches_each_component_once(corpus_to_5, monkeypatch):
     assert searched
     assert len({id(g) for g in searched}) == len(searched)
     assert len(searched) <= sum(len(decompose(g)) for g in corpus_to_5)
+
+
+def test_all_yield_chi_matches_the_oracles(all_graphs_to_6):
+    # every component of every graph with n <= 6, and the order-8 witness,
+    # whose J = 4 exceeds chi = 3
+    for g in all_graphs_to_6 + [ORDER_8_WITNESS]:
+        expected = tuple(
+            any(
+                naive_all_yield(comp, c)
+                for c in naive_surjective_proper_colourings(comp, naive_chromatic(comp))
+            )
+            for _, comp in naive_components(g)
+        )
+        assert analysis.GraphFacts(g).all_yield_chi == expected, g.edges
+    assert analysis.GraphFacts(ORDER_8_WITNESS).all_yield_chi == (False,)
+
+
+def test_t3_searches_only_components_with_j_above_chi(corpus_to_5, monkeypatch):
+    # J >= chi, and at J = chi the J witness already answers T3; no
+    # component with n <= 5 has J > chi, so C_6 (J = 3, chi = 2) is added
+    corpus = corpus_to_5 + [family("cycle", 6)]
+    opened = []
+    original = analysis.enumerate_j_colourings
+
+    def counting(g, ell):
+        opened.append((g.edges, ell))
+        return original(g, ell)
+
+    monkeypatch.setattr(analysis, "enumerate_j_colourings", counting)
+    check("T3", corpus)
+    above = [
+        (comp.edges, chromatic_number(comp)[0])
+        for g in corpus
+        for comp in decompose(g).components
+        if j_number(comp).admits and j_number(comp).value > chromatic_number(comp)[0]
+    ]
+    assert above == [(family("cycle", 6).edges, 2)]
+    assert opened == above
 
 
 def test_verdicts_are_corpus_monotone(corpus_to_5):
