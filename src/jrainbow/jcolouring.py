@@ -11,11 +11,18 @@ admits one.
 
 Since a yielding vertex v needs all ell colours inside N[v], any
 J-colouring satisfies ell <= delta(G)+1, and a J*-colouring satisfies
-ell <= min over internal vertices of (deg+1).  Both are proper, so
-ell >= chi(G) >= omega(G), the clique number.  The solvers search colour
-counts downward from the caps to omega and return the first success,
-which is the maximum by construction; below omega every search would
-fail.
+ell <= min over internal vertices of (deg+1).  Under a J-colouring every
+colour class is independent and dominates every other vertex, so the
+classes are maximal independent sets and J is the most blocks of a
+partition of V into maximal independent sets: the idomatic number of
+Cockayne and Hedetniemi (1977).  :func:`j_number` decides it by exact
+cover over those sets, which it lists lazily by Bron-Kerbosch on int
+bitmasks.  Without pendant vertices every vertex is internal, so J* is
+J.  For K_1, K_2 and components with a pendant vertex the J* solver
+searches colour counts downward from its cap to the clique number omega
+(no proper colouring has fewer colours) and returns the first success,
+which is the maximum by construction.  Every witness is the first
+qualifying colouring in first-use order.
 """
 
 from __future__ import annotations
@@ -138,27 +145,133 @@ def _solve_max(g: Graph, covered: frozenset[int], cap: int) -> JResult:
     """Largest k in omega..cap admitting a surjective proper k-colouring
     whose ``covered`` vertices all yield; first witness in canonical
     order.  No proper colouring has fewer colours than the clique number
-    omega, so no smaller k is tried."""
+    omega, so no smaller k is tried.  Serves the J* solver on graphs with
+    a pendant vertex."""
     for k in range(min(cap, g.n), clique_number(g) - 1, -1):
         for assign in _search_colourings(g, k, covered=covered, canonical=True):
             return JResult(admits=True, value=k, witness=Colouring(ell=k, assignment=assign))
     return JResult(admits=False)
 
 
+def _maximal_independent_sets(
+    closed: list[int], chosen: int, candidates: int, excluded: int
+) -> Iterator[int]:
+    """Maximal independent sets of the whole graph that contain ``chosen``
+    and lie inside ``chosen | candidates``, lazily: Bron-Kerbosch with
+    pivoting, run on the complement.  ``closed[v]`` is the closed
+    neighbourhood mask of v.  ``excluded`` vertices join no set, but each
+    needs a neighbour in every set yielded."""
+    if not candidates:
+        if not excluded:
+            yield chosen
+        return
+    # every extension holds the pivot or a neighbour of it, else the pivot
+    # could still join; the pivot leaving the fewest branches wins, and
+    # one leaving none ends the search here
+    branches = candidates
+    rest = candidates | excluded
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        pivot_branches = candidates & closed[low.bit_length() - 1]
+        if pivot_branches.bit_count() < branches.bit_count():
+            if not pivot_branches:
+                return
+            branches = pivot_branches
+    while branches:
+        low = branches & -branches
+        branches ^= low
+        keep = ~closed[low.bit_length() - 1]
+        yield from _maximal_independent_sets(
+            closed, chosen | low, candidates & keep, excluded & keep
+        )
+        candidates ^= low
+        excluded |= low
+
+
+def _largest_mis_partition(g: Graph) -> tuple[int, ...] | None:
+    """First-use colour assignment of the lexicographically smallest
+    partition of the vertices of ``g`` into the most maximal independent
+    sets, or None when no such partition exists.
+
+    Exact cover on int bitmasks: the lowest uncovered vertex opens the
+    next block, which is any maximal independent set of the whole graph
+    inside the uncovered vertices, and the search recurses on the rest.
+    Blocks therefore take colours 1, 2, ... in first-use order.  Each
+    block dominates every vertex outside it, so at most |N[w] & uncovered|
+    blocks remain for any vertex w, which is never more than delta+1 in
+    all.  Once a partition is known, a branch is cut when it cannot beat
+    that block count, or can only tie it with no smaller assignment: the
+    uncovered vertices will all take colours above the current count.
+    The neighbourhood masks are local rather than
+    ``Graph.adjacency_masks``, so no mask tuple stays cached on each graph
+    of a corpus.
+    """
+    n = g.n
+    closed = [1 << v for v in range(n)]
+    for u, v in g.edges:
+        closed[u] |= 1 << v
+        closed[v] |= 1 << u
+    everything = (1 << n) - 1
+    colour = [0] * n
+    best = 0
+    witness: list[int] = []
+
+    def cover(uncovered: int, blocks: int) -> None:
+        nonlocal best, witness
+        if not uncovered:
+            if blocks > best or (blocks == best and colour < witness):
+                best, witness = blocks, colour[:]
+            return
+        nxt = blocks + 1
+        if best:
+            most = blocks + min((mask & uncovered).bit_count() for mask in closed)
+            if most < best:
+                return
+            if most == best and [
+                nxt if uncovered >> v & 1 else c for v, c in enumerate(colour)
+            ] >= witness:
+                return
+        low = uncovered & -uncovered
+        keep = ~closed[low.bit_length() - 1]
+        for block in _maximal_independent_sets(
+            closed, low, uncovered & keep, (everything ^ uncovered) & keep
+        ):
+            members = block
+            while members:
+                bit = members & -members
+                members ^= bit
+                colour[bit.bit_length() - 1] = nxt
+            cover(uncovered ^ block, nxt)
+
+    cover(everything, 0)
+    return tuple(witness) if best else None
+
+
 @lru_cache(maxsize=None)
 def j_number(g: Graph) -> JResult:
     """Maximum colour count over J-colourings of connected ``g``, or
-    admits=False when no colour count works."""
+    admits=False when no colour count works.  The colour classes of a
+    J-colouring are exactly the blocks of a partition into maximal
+    independent sets, so J is the most such blocks (the idomatic number)
+    and the witness is the first J-colouring at that count in first-use
+    order."""
     _require_connected(g, "j_number")
-    cap = min(map(len, g.adjacency)) + 1
-    return _solve_max(g, covered=frozenset(range(g.n)), cap=cap)
+    assign = _largest_mis_partition(g)
+    if assign is None:
+        return JResult(admits=False)
+    k = max(assign)
+    return JResult(admits=True, value=k, witness=Colouring(ell=k, assignment=assign))
 
 
 @lru_cache(maxsize=None)
 def j_star_number(g: Graph) -> JResult:
-    """Maximum colour count over J*-colourings of connected ``g``."""
+    """Maximum colour count over J*-colourings of connected ``g``.  Without
+    pendant vertices every vertex is internal, so this is J itself."""
     _require_connected(g, "j_star_number")
     internal = degree_profile(g).internal
+    if len(internal) == g.n:
+        return j_number(g)
     if internal:
         cap = min(g.degree(v) for v in internal) + 1
     else:

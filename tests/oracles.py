@@ -182,3 +182,30 @@ def naive_canonical_form(g: Graph) -> tuple[int, int]:
         if best is None or mask < best:
             best = mask
     return (n, best)
+
+
+def naive_idomatic_number(g: Graph) -> int | None:
+    """Most blocks in a partition of the vertices into maximal independent
+    sets, or None when no such partition exists.  The maximal independent
+    sets come from a scan of every vertex subset; the partition from
+    trying each set that holds the smallest vertex left."""
+    vertices = range(g.n)
+    neighbours = [set(g.adjacency[v]) for v in vertices]
+    maximal = []
+    for size in range(1, g.n + 1):
+        for combo in itertools.combinations(vertices, size):
+            chosen = frozenset(combo)
+            if any(neighbours[v] & chosen for v in combo):
+                continue
+            if all(v in chosen or neighbours[v] & chosen for v in vertices):
+                maximal.append(chosen)
+
+    def most(left: frozenset[int]) -> int | None:
+        if not left:
+            return 0
+        first = min(left)
+        counts = [most(left - s) for s in maximal if first in s and s <= left]
+        counts = [c + 1 for c in counts if c is not None]
+        return max(counts, default=None)
+
+    return most(frozenset(vertices))

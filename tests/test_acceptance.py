@@ -454,6 +454,16 @@ GOLDEN_CASES = [
         "analyze_k4_2k1.json",
         ["analyze", str(GOLDEN_DIR / "k4_2k1.edges"), "--json", "-"],
     ),
+    # J / J* witnesses on 9 to 13 vertices, beyond the enumerated corpus
+    ("family_wheel_13.json", ["family", "wheel", "13", "--json", "-"]),
+    (
+        "family_complete_multipartite_2_3_4.json",
+        ["family", "complete_multipartite", "2", "3", "4", "--json", "-"],
+    ),
+    (
+        "analyze_petersen.json",
+        ["analyze", str(GOLDEN_DIR / "petersen.edges"), "--json", "-"],
+    ),
     (
         "check_max_n5_all.json",
         ["check", "--max-n", "5", "--theorems", "all", "--json", "-"],

@@ -21,7 +21,7 @@ from jrainbow import (
 
 from conftest import family, union
 from jrainbow import FamilySpec, jcolouring
-from oracles import naive_clique_number
+from oracles import naive_clique_number, naive_idomatic_number
 
 
 def test_jresult_fields_must_agree():
@@ -156,6 +156,52 @@ def test_solvers_never_search_below_the_clique_number(connected_to_6, monkeypatc
             searched.clear()
             solver.__wrapped__(g)
             assert all(k >= omega for k in searched), (g.edges, solver.__name__, searched)
+
+
+def test_j_number_is_the_idomatic_number():
+    # a J-colouring's classes are the blocks of a partition into maximal
+    # independent sets; the oracle finds those sets by subset scan
+    for n in range(1, 8):
+        for g in enumerate_graphs(n, connected_only=True):
+            assert j_number(g).value == naive_idomatic_number(g), g.edges
+
+
+def test_witness_is_the_smallest_of_several_largest_partitions():
+    # order-8 graphs with more than one partition into three maximal
+    # independent sets, where the first one the search meets is not the
+    # one with the smallest first-use assignment
+    for edges in (
+        [(0, 1), (0, 5), (1, 4), (2, 4), (2, 7), (3, 5), (3, 6), (4, 7), (5, 6), (6, 7)],
+        [(0, 2), (0, 5), (1, 3), (1, 4), (2, 5), (2, 7), (3, 4), (3, 7), (4, 6), (5, 6),
+         (6, 7)],
+        [(0, 1), (0, 6), (1, 6), (2, 4), (2, 5), (3, 6), (3, 7), (4, 5), (4, 7), (5, 7),
+         (6, 7)],
+    ):
+        g = build_graph(8, edges)
+        assert j_number(g) == brute_force_j_number(g), edges
+
+
+def test_j_star_reuses_j_without_pendant_vertices(connected_to_6, monkeypatch):
+    # with every vertex internal, J* asks the J question; graphs with a
+    # pendant vertex (and K_1, K_2) still search, and P_4 shows why
+    streams = []
+    original = jcolouring._search_colourings
+
+    def counting(g, k, **kwargs):
+        streams.append(k)
+        return original(g, k, **kwargs)
+
+    monkeypatch.setattr(jcolouring, "_search_colourings", counting)
+    for g in connected_to_6:
+        j = j_number(g)
+        streams.clear()
+        star = j_star_number.__wrapped__(g)
+        if degree_profile(g).delta >= 2:
+            assert not streams and star == j, g.edges
+        elif star.admits:
+            assert streams, g.edges
+    p4 = family("path", 4)
+    assert j_number(p4).value == 2 and j_star_number.__wrapped__(p4).value == 3
 
 
 def test_j_at_most_j_star_when_admitting(connected_to_6):
