@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .colouring import Colouring, ConventionInfeasibleError, chromatic_number
 from .connectivity import _chi_candidates, rainbow_connecting_colouring
-from .graphs import DegreeProfile, Graph, decompose, degree_profile
+from .graphs import DegreeProfile, Graph, decompose, degree_profile, has_cycle_length_multiple
 from .jcolouring import (
     ComponentaResult,
     _componentwise,
@@ -51,6 +51,14 @@ class GraphFacts:
     @cached_property
     def degree_profiles(self) -> tuple[DegreeProfile, ...]:
         return tuple(degree_profile(comp) for comp in self.decomposition.components)
+
+    @cached_property
+    def cycle_multiple_of_3(self) -> tuple[bool, ...]:
+        """Per component: whether some simple cycle has a length divisible
+        by 3."""
+        return tuple(
+            has_cycle_length_multiple(comp, 3) for comp in self.decomposition.components
+        )
 
     @cached_property
     def jc(self) -> ComponentaResult:

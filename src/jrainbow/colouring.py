@@ -6,11 +6,16 @@ surjective onto {1..ell}: a colouring that skips a colour cannot be
 represented, which keeps the "minimum parameter" discipline an invariant
 of the type rather than a property to re-check everywhere.
 
-The exhaustive search behind :func:`enumerate_proper_colourings` also
-powers the J-number solvers (see :mod:`jrainbow.jcolouring`): the same
-backtracking engine optionally enforces full colour coverage on the
-closed neighbourhoods of a chosen vertex set, pruning as soon as a
-neighbourhood is completely assigned.
+Two searches live here.  The exhaustive colouring search behind
+:func:`enumerate_proper_colourings` also finds the chromatic number, the
+rainbow neighbourhood number r, the chromatic candidates of rainbow
+connectivity, J* on components with a pendant vertex and the J-colourings
+of :func:`jrainbow.jcolouring.enumerate_j_colourings`: it optionally
+enforces full colour coverage on the closed neighbourhoods of a chosen
+vertex set, pruning as soon as a neighbourhood is completely assigned.
+One clique search gives the clique number that bounds chi from below
+and, run on the complement, the maximum independent sets that form the
+classes of the convention colouring.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .graphs import Graph
+from .graphs import Graph, neighbour_masks
 
 
 class ConventionInfeasibleError(ValueError):
@@ -94,17 +99,15 @@ def _search_colourings(
     *,
     covered: Iterable[int] = (),
     canonical: bool = False,
-    surjective: bool = True,
 ) -> Iterator[tuple[int, ...]]:
-    """Yield proper k-colour assignment vectors of ``g`` in lexicographic
-    order.
+    """Yield surjective proper k-colour assignment vectors of ``g`` in
+    lexicographic order.
 
     covered: vertices whose closed neighbourhood must contain all k
         colours; each is checked as soon as its neighbourhood is fully
         assigned, which prunes hard.
     canonical: emit one representative per colour permutation (colours
         appear in first-use order).
-    surjective: demand that all k colours are used.
     """
     n = g.n
     if k < 1:
@@ -142,7 +145,7 @@ def _search_colourings(
             if forbidden & bit:
                 continue
             new_count = used_count if used_mask & bit else used_count + 1
-            if surjective and k - new_count > remaining:
+            if k - new_count > remaining:
                 continue
             assign[i] = c
             if all(closed_mask(w) == full for w in finish_at[i]):
@@ -180,34 +183,44 @@ def greedy_colouring(g: Graph) -> Colouring:
     return Colouring(ell=max(assign), assignment=tuple(assign))
 
 
-def clique_number(g: Graph) -> int:
-    """Exact clique number (0 for the empty graph).
+def _largest_clique(masks: list[int], candidates: int) -> int:
+    """Lexicographically smallest maximum clique inside the ``candidates``
+    mask, as a mask; ``masks[v]`` is the neighbour mask of vertex v.
 
     Branch and bound on int bitmasks: a clique grows by the lowest
-    candidate vertex, whose neighbours become the next candidates, and a
-    branch stops when all its candidates together could not beat the
-    largest clique found so far.  The neighbour masks are local rather
-    than ``Graph.adjacency_masks``, so no mask tuple stays cached on each
-    graph of a corpus.
+    candidate first, whose neighbours among the candidates become the next
+    candidates, and then goes on without it.  A branch stops when all its
+    candidates together could not strictly beat the largest clique found
+    so far, and only a strictly larger clique replaces it, so the first
+    maximum clique met, the lexicographically smallest, is kept.
     """
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    best = 0
+    best = best_size = 0
 
-    def grow(size: int, candidates: int) -> None:
-        nonlocal best
+    def grow(chosen: int, size: int, candidates: int) -> None:
+        nonlocal best, best_size
         while candidates:
-            if size + candidates.bit_count() <= best:
+            if size + candidates.bit_count() <= best_size:
                 return
             low = candidates & -candidates
             candidates ^= low
-            grow(size + 1, candidates & masks[low.bit_length() - 1])
-        best = max(best, size)
+            grow(chosen | low, size + 1, candidates & masks[low.bit_length() - 1])
+        if size > best_size:
+            best, best_size = chosen, size
 
-    grow(0, (1 << g.n) - 1)
+    grow(0, 0, candidates)
     return best
+
+
+def _non_neighbour_masks(g: Graph) -> list[int]:
+    """Neighbour masks of the complement of ``g``: its cliques are the
+    independent sets of ``g``."""
+    everything = (1 << g.n) - 1
+    return [everything ^ mask ^ (1 << v) for v, mask in enumerate(neighbour_masks(g))]
+
+
+def clique_number(g: Graph) -> int:
+    """Exact clique number (0 for the empty graph)."""
+    return _largest_clique(neighbour_masks(g), (1 << g.n) - 1).bit_count()
 
 
 def chromatic_number(g: Graph) -> tuple[int, Colouring]:
@@ -235,34 +248,17 @@ def maximum_independent_set(
     g: Graph, candidates: Iterable[int] | None = None
 ) -> frozenset[int]:
     """Lexicographically smallest maximum independent set of the subgraph
-    induced on ``candidates`` (default: all vertices).
-
-    Include-first branch and bound over ascending vertex ids: the first
-    maximum-size set met in that order is the lexicographically smallest,
-    and subtrees that cannot strictly beat the incumbent are pruned.
-    """
-    verts = sorted(set(candidates)) if candidates is not None else list(range(g.n))
-    for v in verts:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-    allowed = set(verts)
-    adj = {v: set(g.adjacency[v]) & allowed for v in verts}
-    best: list[int] = []
-
-    def rec(chosen: list[int], avail: list[int]) -> None:
-        nonlocal best
-        if len(chosen) + len(avail) <= len(best):
-            return
-        if not avail:
-            best = list(chosen)
-            return
-        v = avail[0]
-        rest = avail[1:]
-        rec(chosen + [v], [u for u in rest if u not in adj[v]])
-        rec(chosen, rest)
-
-    rec([], verts)
-    return frozenset(best)
+    induced on ``candidates`` (default: all vertices): the clique search
+    run on the complement."""
+    allowed = (1 << g.n) - 1
+    if candidates is not None:
+        allowed = 0
+        for v in sorted(set(candidates)):
+            if not 0 <= v < g.n:
+                raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+            allowed |= 1 << v
+    found = _largest_clique(_non_neighbour_masks(g), allowed)
+    return frozenset(v for v in range(g.n) if found >> v & 1)
 
 
 def convention_colouring(g: Graph, ell: int) -> Colouring:
@@ -281,30 +277,30 @@ def convention_colouring(g: Graph, ell: int) -> Colouring:
         raise ValueError("cannot colour the empty graph")
     if ell < 1:
         raise ValueError(f"need at least one colour class, got {ell}")
-    remaining = set(range(g.n))
-    assign = [0] * g.n
+    non_neighbours = _non_neighbour_masks(g)
+    remaining = (1 << g.n) - 1
+    assign = [ell] * g.n
     for j in range(1, ell):
         if not remaining:
             raise ConventionInfeasibleError(
                 f"convention infeasible at ell={ell}: no vertices left for class {j}"
             )
-        cls = maximum_independent_set(g, remaining)
-        for v in cls:
-            assign[v] = j
-        remaining -= cls
+        cls = _largest_clique(non_neighbours, remaining)
+        remaining ^= cls
+        for v in range(g.n):
+            if cls >> v & 1:
+                assign[v] = j
     if not remaining:
         raise ConventionInfeasibleError(
             f"convention infeasible at ell={ell}: no vertices left for class {ell}"
         )
-    rem = sorted(remaining)
+    rem = [v for v in range(g.n) if remaining >> v & 1]
     for i, u in enumerate(rem):
         for v in rem[i + 1:]:
             if g.has_edge(u, v):
                 raise ConventionInfeasibleError(
                     f"convention infeasible at ell={ell}: remainder contains edge ({u}, {v})"
                 )
-    for v in remaining:
-        assign[v] = ell
     return Colouring(ell=ell, assignment=tuple(assign))
 
 

@@ -39,7 +39,7 @@ from .colouring import (
     convention_colouring,
     is_proper,
 )
-from .graphs import ComponentDecomposition, Graph, decompose, has_bridge
+from .graphs import ComponentDecomposition, Graph, decompose, has_bridge, neighbour_masks
 from .jcolouring import (
     NotJColourable,
     enumerate_j_colourings,
@@ -85,7 +85,7 @@ def _path_finder(g: Graph, colouring: Colouring) -> Callable[[int, int], tuple[i
     path vertices; whether it extends to a rainbow path ending at v depends
     on nothing else, so states found dead are kept per target and shared
     by every search of the same finder."""
-    masks = g.adjacency_masks
+    masks = neighbour_masks(g)
     adjacency = g.adjacency
     n = g.n
     bits = [1 << (c - 1) for c in colouring.assignment]

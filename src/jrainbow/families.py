@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cache
 
 from .colouring import Colouring
-from .graphs import Graph, build_graph, is_connected
+from .graphs import Graph, build_graph, is_connected, neighbour_masks
 from .jcolouring import JResult
 
 
@@ -306,10 +307,7 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     # slots[p]: the class whose block holds position p
     slots = [groups[c] for c in sorted(classes)]
     adjacency = g.adjacency
-    masks = [0] * n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
+    masks = neighbour_masks(g)
     # twins[v]: vertices w of v's class with N(v) - w == N(w) - v
     twins = [0] * n
     for members in groups.values():
@@ -383,7 +381,8 @@ def _new_vertex_is_maximal(h: Graph, degrees: list[int], subset: int) -> bool:
     return True
 
 
-def _all_graphs(n: int) -> list[Graph]:
+@cache
+def _all_graphs(n: int) -> tuple[Graph, ...]:
     """All non-isomorphic graphs on n vertices via vertex augmentation:
     attach a new vertex n-1 to every subset of each (n-1)-vertex graph and
     deduplicate by canonical form.
@@ -396,9 +395,9 @@ def _all_graphs(n: int) -> list[Graph]:
     gives a labelled copy of G that passes.
     """
     if n == 1:
-        return [build_graph(1, [])]
+        return (build_graph(1, []),)
     forms: set[tuple[int, int]] = set()
-    for h in _all_graphs_cached(n - 1):
+    for h in _all_graphs(n - 1):
         degrees = [len(a) for a in h.adjacency]
         for subset in range(1 << (n - 1)):
             if _new_vertex_is_maximal(h, degrees, subset):
@@ -406,16 +405,9 @@ def _all_graphs(n: int) -> list[Graph]:
                     (v, n - 1) for v in range(n - 1) if subset >> v & 1
                 )
                 forms.add(canonical_form(build_graph(n, edges)))
-    return [_graph_from_form(f) for f in sorted(forms, key=lambda f: (bin(f[1]).count("1"), f[1]))]
-
-
-_GRAPH_CACHE: dict[int, list[Graph]] = {}
-
-
-def _all_graphs_cached(n: int) -> list[Graph]:
-    if n not in _GRAPH_CACHE:
-        _GRAPH_CACHE[n] = _all_graphs(n)
-    return _GRAPH_CACHE[n]
+    return tuple(
+        _graph_from_form(f) for f in sorted(forms, key=lambda f: (bin(f[1]).count("1"), f[1]))
+    )
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> list[Graph]:
@@ -423,13 +415,23 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> list[Graph]:
     representative each, ordered by (edge count, canonical form)."""
     if not 1 <= n <= 8:
         raise ValueError(f"enumeration supported for 1 <= n <= 8, got {n}")
-    graphs = _all_graphs_cached(n)
+    graphs = _all_graphs(n)
     if connected_only:
         return [g for g in graphs if is_connected(g)]
     return list(graphs)
 
 
-_TREE_CACHE: dict[int, list[Graph]] = {}
+@cache
+def _trees(n: int) -> tuple[Graph, ...]:
+    """Trees of order n, cached as a tuple so that no caller can change
+    what later calls return; see :func:`enumerate_trees`."""
+    if n == 1:
+        return (build_graph(1, []),)
+    forms: set[tuple[int, int]] = set()
+    for t in _trees(n - 1):
+        for v in range(n - 1):
+            forms.add(canonical_form(build_graph(n, list(t.edges) + [(v, n - 1)])))
+    return tuple(_graph_from_form(f) for f in sorted(forms, key=lambda f: f[1]))
 
 
 def enumerate_trees(n: int) -> list[Graph]:
@@ -437,15 +439,4 @@ def enumerate_trees(n: int) -> list[Graph]:
     augmentation with canonical-form deduplication."""
     if n < 1:
         raise ValueError(f"tree order must be >= 1, got {n}")
-    if n in _TREE_CACHE:
-        return _TREE_CACHE[n]
-    if n == 1:
-        trees = [build_graph(1, [])]
-    else:
-        forms: set[tuple[int, int]] = set()
-        for t in enumerate_trees(n - 1):
-            for v in range(n - 1):
-                forms.add(canonical_form(build_graph(n, list(t.edges) + [(v, n - 1)])))
-        trees = [_graph_from_form(f) for f in sorted(forms, key=lambda f: f[1])]
-    _TREE_CACHE[n] = trees
-    return trees
+    return list(_trees(n))

@@ -10,7 +10,6 @@ the analysis operations that need at least one vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -37,12 +36,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
-
-    @cached_property
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """Neighbours of each vertex as an int bitmask (bit u for vertex
-        u), built on first use and then kept with the graph."""
-        return tuple(sum(1 << u for u in nbrs) for nbrs in self.adjacency)
 
     def __repr__(self) -> str:  # compact, deterministic
         return f"Graph(n={self.n}, edges={list(self.edges)})"
@@ -73,15 +66,15 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     return Graph(n=n, edges=edge_tuple, adjacency=adjacency)
 
 
-def complement(g: Graph) -> Graph:
-    """Complement graph on the same vertex set."""
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.has_edge(u, v)
-    ]
-    return build_graph(g.n, edges)
+def neighbour_masks(g: Graph) -> list[int]:
+    """Neighbours of each vertex as an int bitmask (bit u for vertex u).
+    Built afresh on every call, so nothing stays cached on each graph of a
+    corpus; the bitmask searches take it once per search."""
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

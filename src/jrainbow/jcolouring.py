@@ -39,7 +39,14 @@ from .colouring import (
     enumerate_proper_colourings,
     is_proper,
 )
-from .graphs import ComponentDecomposition, Graph, decompose, degree_profile, is_connected
+from .graphs import (
+    ComponentDecomposition,
+    Graph,
+    decompose,
+    degree_profile,
+    is_connected,
+    neighbour_masks,
+)
 from .neighbourhoods import _yields
 
 
@@ -203,15 +210,9 @@ def _largest_mis_partition(g: Graph) -> tuple[int, ...] | None:
     all.  Once a partition is known, a branch is cut when it cannot beat
     that block count, or can only tie it with no smaller assignment: the
     uncovered vertices will all take colours above the current count.
-    The neighbourhood masks are local rather than
-    ``Graph.adjacency_masks``, so no mask tuple stays cached on each graph
-    of a corpus.
     """
     n = g.n
-    closed = [1 << v for v in range(n)]
-    for u, v in g.edges:
-        closed[u] |= 1 << v
-        closed[v] |= 1 << u
+    closed = [mask | 1 << v for v, mask in enumerate(neighbour_masks(g))]
     everything = (1 << n) - 1
     colour = [0] * n
     best = 0

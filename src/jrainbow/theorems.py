@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Sequence
 from .analysis import GraphFacts
 from .colouring import ConventionInfeasibleError
 from .connectivity import min_rainbow_path_lengths
-from .graphs import Graph, build_graph, has_cycle_length_multiple
+from .graphs import Graph, build_graph
 from .neighbourhoods import rainbow_neighbourhood_number
 
 WITNESS_CAP = 5
@@ -246,10 +246,11 @@ def _check_t9(facts: GraphFacts, mode: str | None) -> object:
     lhs = facts.jc_rainbow_connected
     if lhs is None:
         return None
-    comps = facts.decomposition.components
     rows = [
-        (res.value, has_cycle_length_multiple(comp, 3), bool(profile.pendants))
-        for comp, res, profile in zip(comps, facts.jc.per_component, facts.degree_profiles)
+        (res.value, has3, bool(profile.pendants))
+        for res, has3, profile in zip(
+            facts.jc.per_component, facts.cycle_multiple_of_3, facts.degree_profiles
+        )
     ]
     cycle_clause_all = all((not has3) or (not pendant) for _, has3, pendant in rows)
     if mode == "parse-a":

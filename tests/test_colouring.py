@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from jrainbow import (
@@ -95,13 +98,28 @@ def test_clique_number_matches_subset_scan():
 # ---------------------------------------------------------------------------
 
 def test_mis_matches_exhaustive_oracle(all_graphs_to_6):
+    # all vertices, the empty set and seeded random candidate subsets
+    rng = random.Random(2017)
     for g in all_graphs_to_6:
         assert maximum_independent_set(g) == naive_mis_lex(g)
+        subsets = [[]] + [[v for v in range(g.n) if rng.random() < 0.6] for _ in range(4)]
+        for candidates in subsets:
+            assert maximum_independent_set(g, candidates) == naive_mis_lex(g, candidates), (
+                g.edges, candidates,
+            )
 
 
 def test_mis_on_subset():
     c5 = family("cycle", 5)
     assert maximum_independent_set(c5, [1, 3, 4]) == {1, 3}
+
+
+def test_mis_rejects_vertices_outside_the_graph():
+    c5 = family("cycle", 5)
+    with pytest.raises(ValueError, match="vertex -1 outside 0..4"):
+        maximum_independent_set(c5, [5, -1])
+    with pytest.raises(ValueError, match="vertex 5 outside 0..4"):
+        maximum_independent_set(c5, [0, 5])
 
 
 # ---------------------------------------------------------------------------
@@ -142,19 +160,36 @@ def test_convention_rejects_too_many_classes():
         convention_colouring(family("complete", 2), 3)
 
 
+def _mis_chain(g, ell):
+    """Classes of the convention colouring by repeated oracle calls: ell-1
+    maximum independent sets of what is left, then the remainder; None
+    when a class would be empty or the remainder holds an edge."""
+    remaining = set(range(g.n))
+    classes = []
+    for _ in range(ell - 1):
+        if not remaining:
+            return None
+        classes.append(naive_mis_lex(g, remaining))
+        remaining -= classes[-1]
+    if not remaining or any(g.has_edge(u, v) for u, v in combinations(sorted(remaining), 2)):
+        return None
+    return classes + [remaining]
+
+
 def test_convention_classes_are_maximum_independent(all_graphs_to_6):
     # every class is a maximum independent set of the residual graph at
-    # its extraction step (the final class is the whole residual)
+    # its extraction step (the final class is the whole residual), and the
+    # colouring is infeasible exactly when that chain fails
     for g in all_graphs_to_6:
         chi, _ = chromatic_number(g)
-        try:
-            c = convention_colouring(g, chi)
-        except ConventionInfeasibleError:
-            continue
-        remaining = set(range(g.n))
-        for cls in c.colour_classes():
-            assert frozenset(cls) == naive_mis_lex(g, remaining)
-            remaining -= set(cls)
+        for ell in (chi, chi + 1):
+            chain = _mis_chain(g, ell)
+            if chain is None:
+                with pytest.raises(ConventionInfeasibleError):
+                    convention_colouring(g, ell)
+            else:
+                classes = convention_colouring(g, ell).colour_classes()
+                assert classes == tuple(tuple(sorted(cls)) for cls in chain), (g.edges, ell)
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,19 @@ def test_enumeration_rejects_out_of_range():
         enumerate_graphs(9)
 
 
+def test_enumerators_return_fresh_lists():
+    # clearing a returned list must not change later answers, at the same
+    # order or at the next one, which is built from it
+    graphs, trees = enumerate_graphs(4), enumerate_trees(4)
+    expected_graphs, expected_trees = list(graphs), list(trees)
+    graphs.clear()
+    trees.clear()
+    assert enumerate_graphs(4) == expected_graphs
+    assert enumerate_trees(4) == expected_trees
+    assert len(enumerate_graphs(5)) == 34
+    assert len(enumerate_trees(5)) == 3
+
+
 def test_enumeration_is_canonical_and_duplicate_free():
     for n in range(1, 6):
         graphs = enumerate_graphs(n)

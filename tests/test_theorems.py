@@ -16,7 +16,7 @@ from jrainbow import (
     jstarc_number,
     report,
 )
-from jrainbow import analysis
+from jrainbow import analysis, graphs
 from jrainbow.theorems import THEOREM_MODES
 
 from conftest import family
@@ -153,6 +153,22 @@ def test_check_all_searches_each_component_once(corpus_to_5, monkeypatch):
         return original(g, ell)
 
     monkeypatch.setattr(analysis, "enumerate_j_colourings", counting)
+    check_all(corpus_to_5)
+    assert searched
+    assert len({id(g) for g in searched}) == len(searched)
+    assert len(searched) <= sum(len(decompose(g)) for g in corpus_to_5)
+
+
+def test_check_all_searches_cycles_once_per_component(corpus_to_5, monkeypatch):
+    # both T9 parses read one cycle fact per component
+    searched = []
+    original = graphs.simple_cycle_lengths
+
+    def counting(g):
+        searched.append(g)
+        return original(g)
+
+    monkeypatch.setattr(graphs, "simple_cycle_lengths", counting)
     check_all(corpus_to_5)
     assert searched
     assert len({id(g) for g in searched}) == len(searched)
