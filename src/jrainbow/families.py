@@ -264,70 +264,98 @@ def oracle_j_star(spec: FamilySpec) -> JResult:
 # Canonical forms and exhaustive enumeration of small graphs
 # ---------------------------------------------------------------------------
 
-def _wl_classes(g: Graph) -> list[int]:
-    """Stable 1-dimensional Weisfeiler-Leman colour classes, encoded as
-    canonical integers (isomorphism-invariant)."""
-    adjacency = g.adjacency
+def _wl_classes(adjacency: list[list[int]]) -> list[int]:
+    """Stable 1-dimensional Weisfeiler-Leman colour classes of the graph
+    with these neighbour lists, encoded as canonical integers
+    (isomorphism-invariant)."""
+    n = len(adjacency)
     colours = [len(a) for a in adjacency]
-    for _ in range(g.n):
-        raw = [
-            (colours[v], tuple(sorted([colours[u] for u in a])))
-            for v, a in enumerate(adjacency)
-        ]
+    for _ in range(n):
+        get = colours.__getitem__
+        raw = [(c, tuple(sorted(map(get, a)))) for c, a in zip(colours, adjacency)]
         mapping = {sig: i for i, sig in enumerate(sorted(set(raw)))}
         new = [mapping[sig] for sig in raw]
         if new == colours:
             break
         colours = new
+        if len(mapping) == n:  # every class a singleton: the next round repeats it
+            break
     return colours
 
 
-def canonical_form(g: Graph) -> tuple[int, int]:
-    """Canonical (n, edge-bitmask) pair: the minimum relabelled edge mask
-    over all vertex orderings that respect the WL colour classes.
+def _canonical_search(masks: list[int]) -> tuple[int, list[tuple[int, ...]]]:
+    """Canonical edge mask of the graph with neighbour masks ``masks``,
+    and generators of its automorphism group.
 
-    Restricting to class-respecting orderings is exact because any
-    isomorphism preserves WL classes.  An edge whose endpoints sit at
-    positions a < b sets bit a*n + b.  The minimum is found by branch and
-    bound on adjacency bitmasks, filling positions from n-1 downward:
-    once positions p..n-1 are filled, every mask bit >= p*n (rows
-    p..n-1) is fixed, so a partial ordering whose fixed high bits exceed
-    the incumbent's cannot lead to a smaller mask and is cut.  For the
-    same reason only the candidates whose new row is smallest are tried
-    at each position, and of two twins (vertices whose swap is an
+    The mask is the minimum relabelled edge mask over all vertex orderings
+    that respect the WL colour classes.  Restricting to class-respecting
+    orderings is exact because any isomorphism preserves WL classes.  An
+    edge whose endpoints sit at positions a < b sets bit a*n + b.  The
+    minimum is found by branch and bound, filling positions from n-1
+    downward: once positions p..n-1 are filled, every mask bit >= p*n
+    (rows p..n-1) is fixed, so a partial ordering whose fixed high bits
+    exceed the incumbent's cannot lead to a smaller mask and is cut.  For
+    the same reason only the candidates whose new row is smallest are
+    tried at each position, and of two twins (vertices whose swap is an
     automorphism) only one, since their subtrees mirror each other.
+
+    Two orderings with the same mask differ by an automorphism, and every
+    optimal ordering is reached from a visited one by twin swaps.  So the
+    twin transpositions, plus the map from the first optimal leaf to each
+    other one, generate the whole group (McKay & Piperno, "Practical
+    graph isomorphism, II", 2014).  A generator is a tuple holding each
+    vertex's image.
     """
-    n = g.n
-    if n == 0:
-        return (0, 0)
-    classes = _wl_classes(g)
+    n = len(masks)
+    adjacency = []
+    for mask in masks:
+        neighbours = []
+        while mask:
+            low = mask & -mask
+            neighbours.append(low.bit_length() - 1)
+            mask ^= low
+        adjacency.append(neighbours)
+    classes = _wl_classes(adjacency)
     groups: dict[int, list[int]] = {}
     for v, c in enumerate(classes):
         groups.setdefault(c, []).append(v)
     # slots[p]: the class whose block holds position p
     slots = [groups[c] for c in sorted(classes)]
-    adjacency = g.adjacency
-    masks = neighbour_masks(g)
-    # twins[v]: vertices w of v's class with N(v) - w == N(w) - v
+    # twins[v]: the vertices w with N(v) - w == N(w) - v, whose swap is an
+    # automorphism: those with v's open neighbourhood (w not adjacent to
+    # v) or with v's closed one (w adjacent).  No vertex has twins of both
+    # kinds, so each group below is a twin class.
     twins = [0] * n
-    for members in groups.values():
-        for v in members:
-            for w in members:
-                if w != v and masks[v] & ~(1 << w) == masks[w] & ~(1 << v):
+    generators: list[tuple[int, ...]] = []
+    for keys in (masks, [mask | 1 << v for v, mask in enumerate(masks)]):
+        alike: dict[int, list[int]] = {}
+        for v, key in enumerate(keys):
+            alike.setdefault(key, []).append(v)
+        for members in alike.values():
+            for i, v in enumerate(members[:-1]):
+                for w in members[i + 1:]:
                     twins[v] |= 1 << w
+                    twins[w] |= 1 << v
+                    swap = list(range(n))
+                    swap[v], swap[w] = w, v
+                    generators.append(tuple(swap))
     # row[v]: bitmask of the positions already holding a neighbour of v
     row = [0] * n
     placed = [False] * n
+    order = [0] * n  # order[p]: the vertex at position p
     best = -1
+    leaves: list[list[int]] = []  # the orderings visited that reach best
 
     def place(p: int, high: int) -> None:
         nonlocal best
-        if p < 0:
-            if best < 0 or high < best:
+        if p < 0:  # the bound below has cut every leaf above best
+            if high != best:
                 best = high
+                leaves.clear()
+            leaves.append(order[:])
             return
         candidates = [v for v in slots[p] if not placed[v]]
-        low = min(row[v] for v in candidates)
+        low = min([row[v] for v in candidates])
         shift = p * n
         high |= low << shift
         if best >= 0 and high >> shift > best >> shift:
@@ -339,6 +367,7 @@ def canonical_form(g: Graph) -> tuple[int, int]:
                 continue
             skip |= twins[v]
             placed[v] = True
+            order[p] = v
             for u in adjacency[v]:
                 row[u] |= bit
             place(p - 1, high)
@@ -347,18 +376,82 @@ def canonical_form(g: Graph) -> tuple[int, int]:
             placed[v] = False
 
     place(n - 1, 0)
-    return (n, best)
+    first = leaves[0]
+    for other in leaves[1:]:
+        image = [0] * n
+        for v, w in zip(first, other):
+            image[v] = w
+        generators.append(tuple(image))
+    return best, generators
+
+
+def canonical_form(g: Graph) -> tuple[int, int]:
+    """Canonical (n, edge-bitmask) pair: the minimum relabelled edge mask
+    over all vertex orderings that respect the WL colour classes; see
+    :func:`_canonical_search`."""
+    return (g.n, _canonical_search(neighbour_masks(g))[0])
 
 
 def _graph_from_form(form: tuple[int, int]) -> Graph:
+    """The graph whose edges are the set bits of a canonical form.  Bit
+    u*n + v (u < v) rises with (u, v), so the edges come out sorted and
+    every neighbour list ascending, as :func:`build_graph` leaves them."""
     n, mask = form
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if mask >> (u * n + v) & 1
-    ]
-    return build_graph(n, edges)
+    edges = []
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    while mask:
+        low = mask & -mask
+        u, v = divmod(low.bit_length() - 1, n)
+        edges.append((u, v))
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+        mask ^= low
+    return Graph(n, tuple(edges), tuple(map(tuple, adjacency)))
+
+
+def _orbit(subset: int, generators: list[tuple[int, ...]]) -> set[int]:
+    """The images of a vertex bitmask under the group the generators span."""
+    orbit = {subset}
+    frontier = [subset]
+    while frontier:
+        current = frontier.pop()
+        for perm in generators:
+            image = 0
+            for v, w in enumerate(perm):
+                if current >> v & 1:
+                    image |= 1 << w
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
+
+
+def _augmented_forms(parents, candidates) -> set[tuple[int, int]]:
+    """Canonical forms of the graphs made by joining a new vertex to a
+    subset of a parent's vertices, for every parent and every subset that
+    ``candidates(parent)`` yields as a vertex bitmask.
+
+    Subsets in one orbit of the parent's automorphism group give
+    isomorphic graphs, so only the first of each orbit is built (McKay,
+    "Isomorph-free exhaustive generation", 1998); ``candidates`` must
+    accept whole orbits or none.  The global set of forms still removes
+    the isomorphic graphs that different parents or orbits give.
+    """
+    forms: set[tuple[int, int]] = set()
+    for h in parents:
+        n = h.n + 1
+        masks = neighbour_masks(h)
+        generators = _canonical_search(masks)[1]
+        new = 1 << h.n
+        seen: set[int] = set()
+        for subset in candidates(h):
+            if subset in seen:
+                continue
+            seen |= _orbit(subset, generators)
+            augmented = [m | new if subset >> v & 1 else m for v, m in enumerate(masks)]
+            augmented.append(subset)
+            forms.add((n, _canonical_search(augmented)[0]))
+    return forms
 
 
 def _new_vertex_is_maximal(h: Graph, degrees: list[int], subset: int) -> bool:
@@ -381,33 +474,41 @@ def _new_vertex_is_maximal(h: Graph, degrees: list[int], subset: int) -> bool:
     return True
 
 
+def _maximal_subsets(h: Graph):
+    """The subsets of ``h``'s vertices, as bitmasks, that pass
+    :func:`_new_vertex_is_maximal`.  Only the sizes that can pass are
+    generated: a new vertex of degree d below the maximum degree Delta of
+    ``h`` is outranked, and so is one of degree Delta joined to a vertex
+    of degree Delta, which then reaches Delta + 1."""
+    degrees = [len(a) for a in h.adjacency]
+    top = max(degrees)
+    below = [v for v, deg in enumerate(degrees) if deg < top]
+    for d in range(top, h.n + 1):
+        for combo in itertools.combinations(below if d == top else range(h.n), d):
+            subset = sum(1 << v for v in combo)
+            if _new_vertex_is_maximal(h, degrees, subset):
+                yield subset
+
+
 @cache
 def _all_graphs(n: int) -> tuple[Graph, ...]:
     """All non-isomorphic graphs on n vertices via vertex augmentation:
-    attach a new vertex n-1 to every subset of each (n-1)-vertex graph and
+    attach a new vertex n-1 to subsets of each (n-1)-vertex graph and
     deduplicate by canonical form.
 
-    An augmentation is skipped, before any graph is built, unless vertex
-    n-1 has the largest isomorphism-invariant signature (degree, sorted
-    neighbour degrees).  The filter loses no class: every graph G has a
-    vertex w of largest signature, G - w is isomorphic to some listed
-    (n-1)-vertex graph, and joining n-1 to the image of w's neighbours
-    gives a labelled copy of G that passes.
+    An augmentation is skipped unless vertex n-1 has the largest
+    isomorphism-invariant signature (degree, sorted neighbour degrees).
+    The filter loses no class: every graph G has a vertex w of largest
+    signature, G - w is isomorphic to some listed (n-1)-vertex graph, and
+    joining n-1 to the image of w's neighbours gives a labelled copy of G
+    that passes.  The filter is invariant under the parent's
+    automorphisms, so one subset per orbit suffices.
     """
     if n == 1:
-        return (build_graph(1, []),)
-    forms: set[tuple[int, int]] = set()
-    for h in _all_graphs(n - 1):
-        degrees = [len(a) for a in h.adjacency]
-        for subset in range(1 << (n - 1)):
-            if _new_vertex_is_maximal(h, degrees, subset):
-                edges = h.edges + tuple(
-                    (v, n - 1) for v in range(n - 1) if subset >> v & 1
-                )
-                forms.add(canonical_form(build_graph(n, edges)))
-    return tuple(
-        _graph_from_form(f) for f in sorted(forms, key=lambda f: (bin(f[1]).count("1"), f[1]))
-    )
+        return (_graph_from_form((1, 0)),)
+    forms = _augmented_forms(_all_graphs(n - 1), _maximal_subsets)
+    ordered = sorted(forms, key=lambda f: (f[1].bit_count(), f[1]))
+    return tuple(_graph_from_form(f) for f in ordered)
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> list[Graph]:
@@ -426,17 +527,15 @@ def _trees(n: int) -> tuple[Graph, ...]:
     """Trees of order n, cached as a tuple so that no caller can change
     what later calls return; see :func:`enumerate_trees`."""
     if n == 1:
-        return (build_graph(1, []),)
-    forms: set[tuple[int, int]] = set()
-    for t in _trees(n - 1):
-        for v in range(n - 1):
-            forms.add(canonical_form(build_graph(n, list(t.edges) + [(v, n - 1)])))
+        return (_graph_from_form((1, 0)),)
+    forms = _augmented_forms(_trees(n - 1), lambda t: [1 << v for v in range(t.n)])
     return tuple(_graph_from_form(f) for f in sorted(forms, key=lambda f: f[1]))
 
 
 def enumerate_trees(n: int) -> list[Graph]:
     """All non-isomorphic trees on n vertices (n >= 1), by leaf
-    augmentation with canonical-form deduplication."""
+    augmentation (one leaf per orbit of the smaller tree's automorphism
+    group) with canonical-form deduplication."""
     if n < 1:
         raise ValueError(f"tree order must be >= 1, got {n}")
     return list(_trees(n))

@@ -184,6 +184,17 @@ def naive_canonical_form(g: Graph) -> tuple[int, int]:
     return (n, best)
 
 
+def naive_automorphisms(g: Graph) -> set[tuple[int, ...]]:
+    """Every permutation of the vertices, as the tuple of their images,
+    that maps the edge set onto itself."""
+    edges = {frozenset(e) for e in g.edges}
+    return {
+        perm
+        for perm in itertools.permutations(range(g.n))
+        if all(frozenset((perm[u], perm[v])) in edges for u, v in g.edges)
+    }
+
+
 def naive_idomatic_number(g: Graph) -> int | None:
     """Most blocks in a partition of the vertices into maximal independent
     sets, or None when no such partition exists.  The maximal independent

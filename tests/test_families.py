@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -11,6 +13,7 @@ from jrainbow import (
     decompose,
     enumerate_graphs,
     enumerate_trees,
+    families,
     generate,
     is_j_colouring,
     is_j_star_colouring,
@@ -19,9 +22,16 @@ from jrainbow import (
     oracle_j,
     oracle_j_star,
 )
+from jrainbow.graphs import neighbour_masks
 
 from conftest import family
-from oracles import naive_canonical_form
+from oracles import naive_automorphisms, naive_canonical_form
+
+# sha1 of repr([(g.n, g.edges), ...]) over enumerate_graphs(1..8) and over
+# enumerate_trees(1..10), taken from the enumerators that deduplicated
+# every filtered augmentation, before orbit pruning
+GRAPHS_SHA1 = "e9c014c3fe024828b73b899595d9eb409f0c71de"
+TREES_SHA1 = "58df5373eff2e9be1360a3690b218ef442476804"
 
 
 def test_generate_cycle_edges():
@@ -210,6 +220,81 @@ def test_enumeration_matches_the_graph_atlas():
             assert len(matches) == 1, (n, g)
             bucket.remove(matches[0])
     assert not any(unmatched.values())
+
+
+def test_enumeration_output_is_pinned():
+    graphs = [(g.n, g.edges) for n in range(1, 9) for g in enumerate_graphs(n)]
+    trees = [(t.n, t.edges) for n in range(1, 11) for t in enumerate_trees(n)]
+    assert hashlib.sha1(repr(graphs).encode()).hexdigest() == GRAPHS_SHA1
+    assert hashlib.sha1(repr(trees).encode()).hexdigest() == TREES_SHA1
+
+
+def test_enumerated_graphs_are_valid():
+    # representatives are built from their forms without build_graph
+    for n in range(1, 9):
+        for g in enumerate_graphs(n):
+            assert g == build_graph(g.n, g.edges)
+    for n in range(1, 11):
+        for t in enumerate_trees(n):
+            assert t == build_graph(t.n, t.edges)
+
+
+def test_degree_first_subsets_match_the_full_scan():
+    for n in range(1, 7):
+        for h in enumerate_graphs(n):
+            degrees = [len(a) for a in h.adjacency]
+            scan = [
+                s for s in range(1 << n) if families._new_vertex_is_maximal(h, degrees, s)
+            ]
+            assert sorted(families._maximal_subsets(h)) == scan, h
+
+
+def test_augmentation_searches_one_subset_per_orbit(monkeypatch):
+    searches = Counter()
+    search = families._canonical_search
+
+    def counting(masks):
+        searches[len(masks)] += 1
+        return search(masks)
+
+    expected = families._all_graphs(7)
+    monkeypatch.setattr(families, "_canonical_search", counting)
+    # build order 7 afresh from the cached order 6, leaving the cache as it is
+    assert families._all_graphs.__wrapped__(7) == expected
+    # each of the 156 parents is searched once for its automorphisms; every
+    # search on 7 vertices is an augmentation, one per (parent, orbit) that
+    # passes the filter, against 2091 filtered augmentations in all
+    assert searches == {6: 156, 7: 1090}
+
+
+def _closure(generators, n):
+    """The group the permutations generate, by composing until closed."""
+    identity = tuple(range(n))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        element = frontier.pop()
+        for perm in generators:
+            image = tuple(perm[v] for v in element)
+            if image not in group:
+                group.add(image)
+                frontier.append(image)
+    return group
+
+
+def test_search_generators_span_the_automorphism_group():
+    rng = random.Random(6)
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            relabelled = build_graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+            for h in (g, relabelled):
+                _, generators = families._canonical_search(neighbour_masks(h))
+                assert _closure(generators, n) == naive_automorphisms(h), h
+    for g in enumerate_graphs(7):
+        edges = set(g.edges)
+        for perm in families._canonical_search(neighbour_masks(g))[1]:
+            assert {tuple(sorted((perm[u], perm[v]))) for u, v in g.edges} == edges, g
 
 
 def test_tree_counts():
