@@ -165,7 +165,7 @@ def analyse_graph(
         }
         for mode in rainbow_modes:
             try:
-                rep = rainbow_neighbourhood_number(comp, mode)
+                rep = rainbow_neighbourhood_number(comp, mode, chi)
             except ConventionInfeasibleError:
                 entry["rainbow_neighbourhood"][mode] = {
                     "feasible": False,

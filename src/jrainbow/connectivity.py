@@ -18,12 +18,16 @@ found is the first rainbow path in depth-first order.  Worst-case
 exponential; desk scale.
 
 Searching a component for a rainbow-connecting colouring needs only a
-verdict per candidate.  A component with a bridge has no such colouring
-with three or more colours (the bridge is the only path between its
-endpoints and shows two), so those are refuted without a path search;
-otherwise each candidate retries first the pair that failed the
-previous one, and is dropped at its first failing pair.  Only reported
-colourings are scanned pair by pair for witnesses.
+verdict per candidate, and that search runs per source, not per pair:
+one depth-first search from source u, over the same states and cut by
+the same flood fill, marks every vertex v > u that a rainbow path
+reaches, with one memo for all of them.  A component with a bridge has
+no rainbow-connecting colouring with three or more colours (the bridge
+is the only path between its endpoints and shows two), so it needs no
+path search.  Otherwise each candidate retries first the source that
+failed the previous one, and is dropped at its first failing source.
+Only reported colourings are scanned pair by pair for witnesses, by the
+per-pair search, which also fixes which path each pair reports.
 """
 
 from __future__ import annotations
@@ -77,6 +81,31 @@ class RainbowWitness:
             raise AssertionError("path does not cover the full colour set")
 
 
+def _flood(
+    masks: Sequence[int], bits: Sequence[int], w: int, free: int, stop: int = 0
+) -> tuple[int, int]:
+    """The flood fill from w through the vertices of ``free``: the mask of
+    vertices it reaches and the mask of their colours.  It may end at a
+    vertex of ``stop`` but neither passes through it nor collects its
+    colour.  Both searches cut a branch on it: the reach overestimates
+    what one simple path from w can visit, and the colours what it can
+    collect, so no viable branch is cut."""
+    colours = 0
+    reach = frontier = masks[w] & free
+    while frontier:
+        step = 0
+        rest = frontier & ~stop
+        while rest:
+            low = rest & -rest
+            x = low.bit_length() - 1
+            step |= masks[x]
+            colours |= bits[x]
+            rest ^= low
+        frontier = step & free & ~reach
+        reach |= frontier
+    return reach, colours
+
+
 def _path_finder(g: Graph, colouring: Colouring) -> Callable[[int, int], tuple[int, ...] | None]:
     """The rainbow-path search of ``g`` under ``colouring``: a function of
     (u, v) that returns the first rainbow (u, v)-path in depth-first order,
@@ -101,23 +130,8 @@ def _path_finder(g: Graph, colouring: Colouring) -> Callable[[int, int], tuple[i
             state = on_path * n + w
             if state in dead:
                 return False
-            # flood fill from w through vertices off the path, collecting
-            # their colours; it may end at v but not pass through it
-            free = ~on_path
-            colours = seen | bits[v]
-            reach = frontier = masks[w] & free
-            while frontier:
-                step = 0
-                rest = frontier & ~target
-                while rest:
-                    low = rest & -rest
-                    x = low.bit_length() - 1
-                    step |= masks[x]
-                    colours |= bits[x]
-                    rest ^= low
-                frontier = step & free & ~reach
-                reach |= frontier
-            if not reach & target or colours != full:
+            reach, colours = _flood(masks, bits, w, ~on_path, target)
+            if not reach & target or seen | bits[v] | colours != full:
                 dead.add(state)
                 return False
             for x in adjacency[w]:
@@ -180,6 +194,57 @@ def rainbow_path_exists(
     return rainbow_path_finder(g, colouring)(u, v)
 
 
+def _source_connector(masks: Sequence[int], colouring: Colouring) -> Callable[[int], bool]:
+    """The verdict search of one component, given its neighbour masks,
+    under ``colouring``: a function of a source u that is True when u is
+    joined by a rainbow path to every vertex v > u.
+
+    One depth-first search per source runs over states (end w, on-path
+    mask) and keeps the mask of targets still unreached.  On entering a
+    state it marks every unreached target next to w, off the path, whose
+    colour completes the colour set.  The flood fill from w through the
+    vertices off the path cuts a state that reaches no unreached target
+    or misses a colour.  The unreached mask only shrinks, so a state cut
+    or fully explored stays dead for the rest of the source's search, and
+    one memo serves every target of the source."""
+    n = len(masks)
+    bits = [1 << (c - 1) for c in colouring.assignment]
+    full = (1 << colouring.ell) - 1
+    # the targets whose colour completes a path that misses these colours
+    completing = {0: (1 << n) - 1}
+    for x, bit in enumerate(bits):
+        completing[bit] = completing.get(bit, 0) | 1 << x
+
+    def connects(u: int) -> bool:
+        unreached = ((1 << n) - 1) & (-1 << (u + 1))
+        dead: set[int] = set()
+
+        def extend(w: int, on_path: int, seen: int) -> bool:
+            nonlocal unreached
+            state = on_path * n + w
+            if state in dead:
+                return False
+            free = ~on_path
+            unreached &= ~(masks[w] & free & completing.get(full & ~seen, 0))
+            if not unreached:
+                return True
+            reach, colours = _flood(masks, bits, w, free)
+            if reach & unreached and seen | colours == full:
+                rest = masks[w] & free
+                while rest:
+                    low = rest & -rest
+                    x = low.bit_length() - 1
+                    if extend(x, on_path | low, seen | bits[x]):
+                        return True
+                    rest ^= low
+            dead.add(state)
+            return False
+
+        return extend(u, 1 << u, bits[u])
+
+    return connects
+
+
 def rainbow_connecting_colouring(
     comp: Graph, ell: int, candidates: Iterable[Colouring]
 ) -> Colouring | None:
@@ -189,21 +254,22 @@ def rainbow_connecting_colouring(
     with ``ell`` colours.
 
     With ell >= 3 a bridge refutes every candidate unseen: its endpoints
-    are joined by no path but the bridge itself, which shows two colours.
-    Otherwise each candidate first retries the pair that failed the one
-    before it, and is dropped at its first failing pair.
+    are joined by no path but the bridge itself.  Otherwise each
+    candidate is searched source by source, first retrying the source
+    that failed the one before it, and is dropped at its first failing
+    source.
     """
     if ell >= 3 and has_bridge(comp):
         return None
-    pairs = list(combinations(range(comp.n), 2))
+    masks = neighbour_masks(comp)
     failing = None
     for col in candidates:
-        find = _path_finder(comp, col)
-        if failing is not None and find(*failing) is None:
+        connects = _source_connector(masks, col)
+        if failing is not None and not connects(failing):
             continue
-        for pair in pairs:
-            if pair != failing and find(*pair) is None:
-                failing = pair
+        for u in range(comp.n - 1):
+            if u != failing and not connects(u):
+                failing = u
                 break
         else:
             return col
@@ -215,37 +281,40 @@ def min_rainbow_path_lengths(
 ) -> dict[tuple[int, int], int | None]:
     """Shortest rainbow path length (edge count) for every distinct vertex
     pair of connected ``g`` under a J-colouring; None when a pair has no
-    rainbow path."""
+    rainbow path.
+
+    A rainbow path shows all ell colours, so it has at least ell vertices
+    and ell - 1 edges.  Each pair is searched by iterative deepening from
+    that floor: a depth-first search on bitmasks for a path with exactly
+    the current number of edges, cut where the colours still missing
+    outnumber the edges left."""
     if not is_j_colouring(g, colouring):
         raise ValueError("expected a J-colouring of a connected graph")
-    full = frozenset(range(1, colouring.ell + 1))
-    assign = colouring.assignment
+    masks = neighbour_masks(g)
+    bits = [1 << (c - 1) for c in colouring.assignment]
+    full = (1 << colouring.ell) - 1
+    floor = max(colouring.ell - 1, 1)
+
+    def reaches(w: int, v: int, on_path: int, seen: int, left: int) -> bool:
+        # is there a rainbow path w..v with ``left`` more edges, off the path?
+        if left == 1:
+            return bool(masks[w] >> v & 1) and seen | bits[v] == full
+        if (full & ~seen).bit_count() > left:
+            return False
+        rest = masks[w] & ~on_path & ~(1 << v)
+        while rest:
+            low = rest & -rest
+            x = low.bit_length() - 1
+            if reaches(x, v, on_path | low, seen | bits[x], left - 1):
+                return True
+            rest ^= low
+        return False
+
     out: dict[tuple[int, int], int | None] = {}
     for u, v in combinations(range(g.n), 2):
-        best: int | None = None
-        path = [u]
-        on_path = {u}
-
-        def dfs() -> None:
-            nonlocal best
-            if best is not None and len(path) - 1 >= best:
-                return  # any extension is at least one edge longer
-            w = path[-1]
-            for x in g.adjacency[w]:
-                if x == v:
-                    if full <= {assign[y] for y in path} | {assign[v]}:
-                        length = len(path)
-                        if best is None or length < best:
-                            best = length
-                elif x not in on_path:
-                    path.append(x)
-                    on_path.add(x)
-                    dfs()
-                    path.pop()
-                    on_path.remove(x)
-
-        dfs()
-        out[(u, v)] = best
+        out[(u, v)] = next(
+            (d for d in range(floor, g.n) if reaches(u, v, 1 << u, bits[u], d)), None
+        )
     return out
 
 

@@ -211,7 +211,8 @@ def simple_cycle_lengths(g: Graph) -> frozenset[int]:
 
     Each cycle is enumerated once: its smallest vertex is the root and the
     two traversal directions are collapsed by requiring the second vertex
-    to be smaller than the last.  Intended for desk-scale graphs.
+    to be smaller than the last.  Intended for desk-scale graphs; the
+    package itself asks only :func:`has_cycle_length_multiple`.
     """
     lengths: set[int] = set()
     for root in range(g.n):
@@ -228,5 +229,25 @@ def simple_cycle_lengths(g: Graph) -> frozenset[int]:
 
 
 def has_cycle_length_multiple(g: Graph, k: int) -> bool:
-    """True when some simple cycle of ``g`` has length divisible by ``k``."""
-    return any(length % k == 0 for length in simple_cycle_lengths(g))
+    """True when some simple cycle of ``g`` has length divisible by ``k``.
+
+    A depth-first search on bitmasks roots each cycle at its smallest
+    vertex, keeps every other path vertex above the root, and stops at the
+    first path of three or more vertices, a multiple of ``k``, whose end
+    is adjacent to the root.
+    """
+    masks = neighbour_masks(g)
+
+    def closes(root: int, w: int, on_path: int, length: int) -> bool:
+        if length >= 3 and length % k == 0 and masks[w] >> root & 1:
+            return True
+        rest = masks[w] & ~on_path
+        while rest:
+            low = rest & -rest
+            if closes(root, low.bit_length() - 1, on_path | low, length + 1):
+                return True
+            rest ^= low
+        return False
+
+    # vertices at or below the root start on the path, so none is visited
+    return any(closes(root, root, (2 << root) - 1, 1) for root in range(g.n))

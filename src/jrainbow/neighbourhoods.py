@@ -63,9 +63,13 @@ def yielding_vertices(g: Graph, colouring: Colouring) -> frozenset[int]:
     return frozenset(v for v in range(g.n) if _yields(g, colouring, v))
 
 
-def rainbow_neighbourhood_number(g: Graph, mode: str = "convention") -> RainbowReport:
+def rainbow_neighbourhood_number(
+    g: Graph, mode: str = "convention", chi: int | None = None
+) -> RainbowReport:
     """Count vertices yielding rainbow neighbourhoods under a chromatic
     colouring of ``g``, selected per ``mode`` (see module docstring).
+    ``chi`` is the chromatic number of ``g`` when the caller already
+    holds it; it is computed otherwise.
 
     Exhaustive modes scan the surjective proper chi-colourings in
     lexicographic order, one per colour permutation (colours in first-use
@@ -80,7 +84,8 @@ def rainbow_neighbourhood_number(g: Graph, mode: str = "convention") -> RainbowR
         raise ValueError("rainbow neighbourhood number of the empty graph is undefined")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    chi, _ = chromatic_number(g)
+    if chi is None:
+        chi, _ = chromatic_number(g)
     if mode == "convention":
         colouring = convention_colouring(g, chi)
         return RainbowReport(yielding=yielding_vertices(g, colouring), colouring_used=colouring)

@@ -134,9 +134,9 @@ def _check_t2(facts: GraphFacts, mode: str | None) -> object:
     if mode == "exists-max" and admits == all(facts.all_yield_chi):
         return None
     per_component = []
-    for comp in facts.decomposition.components:
+    for comp, (chi, _) in zip(facts.decomposition.components, facts.chromatic):
         try:
-            report = rainbow_neighbourhood_number(comp, mode)
+            report = rainbow_neighbourhood_number(comp, mode, chi)
         except ConventionInfeasibleError:
             return _SKIP
         per_component.append((report.r, comp.n))

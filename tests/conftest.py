@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from jrainbow import FamilySpec, Graph, enumerate_graphs, generate
@@ -11,6 +13,25 @@ def family(kind: str, *params: int, parts=()) -> Graph:
 
 def union(*specs: FamilySpec) -> Graph:
     return generate(FamilySpec("disjoint_union", parts=tuple(specs)))
+
+
+def count_calls(module, name: str, run):
+    """The result of ``run()`` and how many calls it made to Python
+    functions named ``name`` defined in ``module``, nested ones included."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name == name and code.co_filename == module.__file__:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, calls
 
 
 @pytest.fixture(scope="session")

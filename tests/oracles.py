@@ -96,6 +96,36 @@ def naive_rainbow_path_exists(g: Graph, colouring: Colouring, u: int, v: int) ->
     return False
 
 
+def naive_cycle_lengths(g: Graph) -> set[int]:
+    """Lengths of the simple cycles of ``g``: every cycle is an edge (u, v)
+    closed by a simple u-v path of three or more vertices."""
+    return {
+        len(path)
+        for u, v in g.edges
+        for path in all_simple_paths(g, u, v)
+        if len(path) >= 3
+    }
+
+
+def naive_min_rainbow_path_lengths(
+    g: Graph, colouring: Colouring
+) -> dict[tuple[int, int], int | None]:
+    """Fewest edges of a colour-covering simple path per pair u < v, or
+    None, by scanning every simple path of the pair."""
+    full = set(range(1, colouring.ell + 1))
+    return {
+        (u, v): min(
+            (
+                len(path) - 1
+                for path in all_simple_paths(g, u, v)
+                if {colouring.assignment[w] for w in path} == full
+            ),
+            default=None,
+        )
+        for u, v in itertools.combinations(range(g.n), 2)
+    }
+
+
 def naive_components(g: Graph) -> list[tuple[list[int], Graph]]:
     """Connected components by flood fill, ordered by smallest vertex: the
     ascending parent ids of each and its induced subgraph on local ids."""

@@ -8,8 +8,10 @@ from jrainbow import (
     NotJColourable,
     build_graph,
     chromatic_number,
+    convention_colouring,
     decompose,
     enumerate_graphs,
+    enumerate_j_colourings,
     is_chi_rainbow_connected,
     is_jc_rainbow_connected,
     is_j_colouring,
@@ -18,15 +20,18 @@ from jrainbow import (
     min_rainbow_path_lengths,
     rainbow_path_exists,
 )
+from jrainbow import connectivity
+from jrainbow.connectivity import _chi_candidates, rainbow_connecting_colouring
 from jrainbow.graphs import has_bridge
 
-from conftest import family, union
+from conftest import count_calls, family, union
 from oracles import (
     all_simple_paths,
     naive_all_yield,
     naive_bridges,
     naive_chromatic,
     naive_components,
+    naive_min_rainbow_path_lengths,
     naive_rainbow_path_exists,
     naive_surjective_proper_colourings,
 )
@@ -372,3 +377,70 @@ def test_convention_infeasibility_wins_over_a_bridge_refutation():
     assert facts.chi_rainbow_connected("exists") is False
     with pytest.raises(ConventionInfeasibleError):
         is_chi_rainbow_connected(g, "convention")
+
+
+def _naive_connects(comp, colouring):
+    return all(
+        naive_rainbow_path_exists(comp, colouring, u, v)
+        for u in range(comp.n)
+        for v in range(u + 1, comp.n)
+    )
+
+
+# order-7 inputs: the only connected graphs with n <= 7 on which some
+# canonical chi-colourings rainbow-connect every pair and others do not,
+# then one whose connecting chi-colouring (1, 2, 1, 2, 1, 2, 3) a memo
+# keyed on the path's vertex set alone, without its end, would refute
+ORDER_7_CASES = (
+    build_graph(7, [(0, 1), (0, 6), (1, 6), (2, 5), (2, 6), (3, 5), (3, 6), (4, 5), (4, 6)]),
+    build_graph(7, [(0, 1), (0, 6), (1, 6), (2, 4), (2, 5), (3, 4), (3, 5), (4, 6), (5, 6)]),
+    build_graph(7, [(0, 1), (0, 5), (1, 4), (2, 3), (2, 6), (3, 6), (4, 5), (4, 6), (5, 6)]),
+)
+
+
+def test_connecting_colouring_is_the_first_oracle_connecting_candidate(connected_to_6):
+    # J candidates, the chi convention colouring and every canonical
+    # chi-colouring, each list also reversed; the per-source search must
+    # pick the first candidate under which the path oracle joins every pair
+    outcomes = {"none": 0, "first": 0, "later": 0}
+    for g in connected_to_6 + list(ORDER_7_CASES):
+        chi, _ = chromatic_number(g)
+        candidate_sets = [(chi, list(_chi_candidates(g, chi, "exists")))]
+        try:
+            candidate_sets.append((chi, [convention_colouring(g, chi)]))
+        except ConventionInfeasibleError:
+            pass
+        res = j_number(g)
+        if res.admits:
+            candidate_sets.append((res.value, list(enumerate_j_colourings(g, res.value))))
+        for ell, cands in candidate_sets + [(ell, cands[::-1]) for ell, cands in candidate_sets]:
+            expected = next((c for c in cands if _naive_connects(g, c)), None)
+            assert rainbow_connecting_colouring(g, ell, cands) == expected, (g, ell)
+            if expected is None:
+                outcomes["none"] += 1
+            else:
+                outcomes["first" if expected == cands[0] else "later"] += 1
+    assert all(outcomes.values()), outcomes
+
+
+def test_min_rainbow_path_lengths_match_the_path_oracle(connected_to_6):
+    # every J-colouring of every connected graph with n <= 6
+    unjoined = 0
+    for g in connected_to_6:
+        for col in _naive_j_colourings(g):
+            expected = naive_min_rainbow_path_lengths(g, col)
+            assert list(min_rainbow_path_lengths(g, col).items()) == list(expected.items())
+            unjoined += None in expected.values()
+    assert unjoined
+
+
+def test_min_rainbow_path_lengths_search_effort(connected_to_6):
+    # DFS steps of T8's search under each J witness; a weaker cut or a
+    # lower first depth raises the count
+    inputs = [(g, j_number(g).witness) for g in connected_to_6 if j_number(g).admits]
+    _, calls = count_calls(
+        connectivity,
+        "reaches",
+        lambda: [min_rainbow_path_lengths(g, col) for g, col in inputs],
+    )
+    assert (len(inputs), calls) == (65, 3139)

@@ -4,12 +4,15 @@ from jrainbow import (
     build_graph,
     decompose,
     degree_profile,
+    enumerate_graphs,
     induced_subgraph,
     is_connected,
 )
+from jrainbow import graphs
 from jrainbow.graphs import has_cycle_length_multiple, simple_cycle_lengths
 
-from conftest import family
+from conftest import count_calls, family
+from oracles import naive_cycle_lengths
 
 
 def test_build_triangle():
@@ -132,3 +135,39 @@ def test_simple_cycle_lengths():
     assert simple_cycle_lengths(family("path", 5)) == frozenset()
     assert has_cycle_length_multiple(family("complete", 4), 3)
     assert not has_cycle_length_multiple(family("cycle", 4), 3)
+
+
+def test_has_cycle_length_multiple_matches_path_oracle():
+    for n in range(1, 8):
+        for g in enumerate_graphs(n, connected_only=True):
+            lengths = naive_cycle_lengths(g)
+            for k in (3, 4, 5):
+                expected = any(length % k == 0 for length in lengths)
+                assert has_cycle_length_multiple(g, k) == expected, (g, k)
+
+
+def _paths_above_root(g):
+    """Simple paths that start at some root and visit only vertices above
+    it, the one-vertex paths included."""
+    count = 0
+    for root in range(g.n):
+        stack = [(root,)]
+        while stack:
+            path = stack.pop()
+            count += 1
+            stack.extend(path + (x,) for x in g.adjacency[path[-1]] if x > root and x not in path)
+    return count
+
+
+def test_cycle_search_visits_only_paths_above_the_root(connected_to_6):
+    # each cycle is searched from its smallest vertex only: one DFS step
+    # per path above a root, all of them when no cycle qualifies
+    exhausted = 0
+    for g in connected_to_6:
+        found, calls = count_calls(graphs, "closes", lambda: has_cycle_length_multiple(g, 3))
+        if found:
+            assert calls <= _paths_above_root(g), g
+        else:
+            assert calls == _paths_above_root(g), g
+            exhausted += 1
+    assert exhausted

@@ -16,7 +16,7 @@ from jrainbow import (
     jstarc_number,
     report,
 )
-from jrainbow import analysis, graphs
+from jrainbow import analysis, connectivity, neighbourhoods
 from jrainbow.theorems import THEOREM_MODES
 
 from conftest import family
@@ -159,16 +159,33 @@ def test_check_all_searches_each_component_once(corpus_to_5, monkeypatch):
     assert len(searched) <= sum(len(decompose(g)) for g in corpus_to_5)
 
 
+def test_check_all_computes_chi_once_per_component(monkeypatch):
+    # every claim reads chi from the facts record, T2 included
+    corpus = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    calls = 0
+    original = chromatic_number
+
+    def counting(g):
+        nonlocal calls
+        calls += 1
+        return original(g)
+
+    for module in (analysis, connectivity, neighbourhoods):
+        monkeypatch.setattr(module, "chromatic_number", counting)
+    check_all(corpus)
+    assert calls == sum(len(decompose(g)) for g in corpus) == 1610
+
+
 def test_check_all_searches_cycles_once_per_component(corpus_to_5, monkeypatch):
     # both T9 parses read one cycle fact per component
     searched = []
-    original = graphs.simple_cycle_lengths
+    original = analysis.has_cycle_length_multiple
 
-    def counting(g):
+    def counting(g, k):
         searched.append(g)
-        return original(g)
+        return original(g, k)
 
-    monkeypatch.setattr(graphs, "simple_cycle_lengths", counting)
+    monkeypatch.setattr(analysis, "has_cycle_length_multiple", counting)
     check_all(corpus_to_5)
     assert searched
     assert len({id(g) for g in searched}) == len(searched)
