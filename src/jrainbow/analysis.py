@@ -13,7 +13,12 @@ import json
 from functools import cached_property
 from typing import Iterable
 
-from .colouring import Colouring, ConventionInfeasibleError, chromatic_number
+from .colouring import (
+    Colouring,
+    ConventionInfeasibleError,
+    chromatic_number,
+    convention_colouring,
+)
 from .connectivity import _chi_candidates, rainbow_connecting_colouring
 from .graphs import DegreeProfile, Graph, decompose, degree_profile, has_cycle_length_multiple
 from .jcolouring import (
@@ -24,7 +29,7 @@ from .jcolouring import (
     j_star_number,
 )
 from .neighbourhoods import MODES as RAINBOW_MODES
-from .neighbourhoods import rainbow_neighbourhood_number
+from .neighbourhoods import rainbow_neighbourhood_number, yielding_vertices
 
 CONNECTIVITY_MODES = ("jc-exists", "chi-convention", "chi-exists")
 ALL_MODES = RAINBOW_MODES + CONNECTIVITY_MODES
@@ -47,6 +52,18 @@ class GraphFacts:
     def chromatic(self) -> tuple[tuple[int, Colouring], ...]:
         """(chi, witness) per component."""
         return tuple(chromatic_number(comp) for comp in self.decomposition.components)
+
+    @cached_property
+    def convention(self) -> tuple[Colouring | None, ...]:
+        """Per component: its convention chi-colouring, None where the
+        greedy-maximal discipline cannot realise chi classes."""
+        colourings = []
+        for comp, (chi, _) in zip(self.decomposition.components, self.chromatic):
+            try:
+                colourings.append(convention_colouring(comp, chi))
+            except ConventionInfeasibleError:
+                colourings.append(None)
+        return tuple(colourings)
 
     @cached_property
     def degree_profiles(self) -> tuple[DegreeProfile, ...]:
@@ -119,22 +136,35 @@ class GraphFacts:
 
     def chi_rainbow_connected(self, mode: str) -> bool | None:
         """Chromatic rainbow connectivity in ``mode``; None when the
-        convention colouring of some component is infeasible.  Every
-        component's candidates are built before any is searched, so an
-        infeasible convention colouring wins over a refutation."""
+        convention colouring of some component is infeasible, even where
+        another component would refute it."""
         if mode not in self._chi_rainbow:
             comps = self.decomposition.components
             chis = [chi for chi, _ in self.chromatic]
-            try:
-                candidates = [_chi_candidates(comp, chi, mode) for comp, chi in zip(comps, chis)]
-            except ConventionInfeasibleError:
+            if mode == "convention" and None in self.convention:
                 self._chi_rainbow[mode] = None
             else:
+                candidates = (
+                    [(colouring,) for colouring in self.convention]
+                    if mode == "convention"
+                    else [_chi_candidates(comp, chi, mode) for comp, chi in zip(comps, chis)]
+                )
                 self._chi_rainbow[mode] = all(
                     rainbow_connecting_colouring(comp, chi, cands) is not None
                     for comp, chi, cands in zip(comps, chis, candidates)
                 )
         return self._chi_rainbow[mode]
+
+
+def _yielding(facts: GraphFacts, ci: int, mode: str) -> frozenset[int] | None:
+    """The vertices of component ``ci`` that yield rainbow neighbourhoods
+    under its chromatic colouring in rainbow-neighbourhood ``mode``; None
+    where the convention colouring is infeasible."""
+    comp = facts.decomposition.components[ci]
+    if mode != "convention":
+        return rainbow_neighbourhood_number(comp, mode, facts.chromatic[ci][0]).yielding
+    colouring = facts.convention[ci]
+    return None if colouring is None else yielding_vertices(comp, colouring)
 
 
 def analyse_graph(
@@ -164,20 +194,12 @@ def analyse_graph(
             "rainbow_neighbourhood": {},
         }
         for mode in rainbow_modes:
-            try:
-                rep = rainbow_neighbourhood_number(comp, mode, chi)
-            except ConventionInfeasibleError:
-                entry["rainbow_neighbourhood"][mode] = {
-                    "feasible": False,
-                    "r": None,
-                    "yielding": None,
-                }
-            else:
-                entry["rainbow_neighbourhood"][mode] = {
-                    "feasible": True,
-                    "r": rep.r,
-                    "yielding": sorted(rep.yielding),
-                }
+            yielding = _yielding(facts, ci, mode)
+            entry["rainbow_neighbourhood"][mode] = {
+                "feasible": yielding is not None,
+                "r": None if yielding is None else len(yielding),
+                "yielding": None if yielding is None else sorted(yielding),
+            }
         components.append(entry)
 
     connectivity: dict = {}

@@ -29,7 +29,7 @@ from .analysis import (
     dump_json,
     render_text,
 )
-from .colouring import Colouring, ConventionInfeasibleError, convention_colouring
+from .colouring import Colouring
 from .connectivity import rainbow_path_finder
 from .families import KINDS, FamilySpec, enumerate_graphs, generate, oracle_j, oracle_j_star
 from .graphs import ComponentDecomposition, Graph
@@ -129,12 +129,10 @@ def _component_colourings(facts: GraphFacts) -> tuple[str, list[Colouring]]:
     jc = facts.jc
     if jc.admits:
         return "j-colouring", [res.witness for res in jc.per_component]
-    colourings = []
-    for comp, (chi, chi_witness) in zip(facts.decomposition.components, facts.chromatic):
-        try:
-            colourings.append(convention_colouring(comp, chi))
-        except ConventionInfeasibleError:
-            colourings.append(chi_witness)
+    colourings = [
+        chi_witness if convention is None else convention
+        for convention, (_, chi_witness) in zip(facts.convention, facts.chromatic)
+    ]
     return "chromatic-convention", colourings
 
 

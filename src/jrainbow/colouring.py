@@ -6,21 +6,25 @@ surjective onto {1..ell}: a colouring that skips a colour cannot be
 represented, which keeps the "minimum parameter" discipline an invariant
 of the type rather than a property to re-check everywhere.
 
-Two searches live here.  The exhaustive colouring search behind
+Three searches live here.  The exhaustive colouring search behind
 :func:`enumerate_proper_colourings` also finds the chromatic number, the
-rainbow neighbourhood number r, the chromatic candidates of rainbow
-connectivity, J* on components with a pendant vertex and the J-colourings
-of :func:`jrainbow.jcolouring.enumerate_j_colourings`: it optionally
+chromatic candidates of rainbow connectivity, J* on components with a
+pendant vertex and the J-colourings of
+:func:`jrainbow.jcolouring.enumerate_j_colourings`: it optionally
 enforces full colour coverage on the closed neighbourhoods of a chosen
 vertex set, pruning as soon as a neighbourhood is completely assigned.
-One clique search gives the clique number that bounds chi from below
-and, run on the complement, the maximum independent sets that form the
-classes of the convention colouring.
+A branch and bound in the same vertex order finds the chi-colouring with
+the most or the fewest rainbow neighbourhoods, for the exists modes of
+the rainbow neighbourhood number r.  One clique search gives the clique
+number that bounds chi from below and, run on the complement, the
+maximum independent sets that form the classes of the convention
+colouring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator
 
 from .graphs import Graph, neighbour_masks
@@ -93,6 +97,15 @@ def inverse_colouring(colouring: Colouring) -> Colouring:
 # Exhaustive colouring search
 # ---------------------------------------------------------------------------
 
+def _finish_index(g: Graph, vertices: Iterable[int]) -> list[list[int]]:
+    """finish_at[i]: the given vertices whose closed neighbourhood becomes
+    fully assigned when vertex i receives its colour."""
+    finish_at: list[list[int]] = [[] for _ in range(g.n)]
+    for w in set(vertices):
+        finish_at[max(g.adjacency[w] + (w,))].append(w)
+    return finish_at
+
+
 def _search_colourings(
     g: Graph,
     k: int,
@@ -115,12 +128,7 @@ def _search_colourings(
     if n == 0:
         return
     full = (1 << k) - 1
-    # finish_at[i]: covered vertices whose closed neighbourhood becomes
-    # fully assigned when vertex i receives its colour
-    finish_at: list[list[int]] = [[] for _ in range(n)]
-    for w in set(covered):
-        last = max(g.adjacency[w] + (w,))
-        finish_at[last].append(w)
+    finish_at = _finish_index(g, covered)
     adjacency = g.adjacency
     assign = [0] * n
 
@@ -153,6 +161,68 @@ def _search_colourings(
         assign[i] = 0
 
     yield from rec(0, 0, 0)
+
+
+def _extreme_yield_colouring(g: Graph, k: int, maximise: bool) -> tuple[int, ...]:
+    """The lexicographically first surjective proper k-colour assignment
+    vector of ``g`` under which the most (``maximise``) or the fewest
+    vertices see all k colours in their closed neighbourhood.
+
+    Depth-first branch and bound in vertex order, with the first-use
+    colour limit and the surjectivity cut of the canonical
+    :func:`_search_colourings`.
+    A vertex is counted once its closed neighbourhood is fully assigned.
+    A branch is cut when it cannot strictly beat the best count found so
+    far, so only strictly better leaves are reached, and the first leaf
+    at the extreme is the one returned.  Once the best count is n (or 0)
+    that cut ends every open branch at its next vertex.  ``g`` must be
+    non-empty and k-colourable.
+    """
+    n = g.n
+    full = (1 << k) - 1
+    finish_at = _finish_index(g, range(n))
+    closed = [(w,) + g.adjacency[w] for w in range(n)]
+    earlier = [[u for u in g.adjacency[i] if u < i] for i in range(n)]
+    # undecided[i]: vertices not yet counted or ruled out once vertex i
+    # has its colour
+    undecided = [n - done for done in accumulate(map(len, finish_at))]
+    bits = [0] * n  # colour c of a vertex as the bit 1 << (c - 1)
+    best = -1 if maximise else n + 1
+    best_bits: list[int] = []
+
+    def branch(i: int, used_count: int, count: int) -> None:
+        nonlocal best, best_bits
+        if i == n:
+            best, best_bits = count, bits[:]
+            return
+        forbidden = 0
+        for u in earlier[i]:
+            forbidden |= bits[u]
+        remaining = n - i - 1
+        for c in range(min(k, used_count + 1)):
+            bit = 1 << c
+            if forbidden & bit:
+                continue
+            new_count = used_count + (c == used_count)  # colours 1..used_count are in use
+            if k - new_count > remaining:
+                continue
+            bits[i] = bit
+            yielding = count
+            for w in finish_at[i]:
+                mask = 0
+                for u in closed[w]:
+                    mask |= bits[u]
+                if mask == full:
+                    yielding += 1
+            if maximise:
+                if yielding + undecided[i] <= best:
+                    continue
+            elif yielding >= best:
+                continue
+            branch(i + 1, new_count, yielding)
+
+    branch(0, 0, 0)
+    return tuple(b.bit_length() for b in best_bits)
 
 
 def enumerate_proper_colourings(g: Graph, k: int) -> Iterator[Colouring]:

@@ -9,6 +9,10 @@ are exposed:
 convention   the deterministic greedy-maximal colouring on chi colours
 exists-max   the maximum of r over all surjective proper chi-colourings
 exists-min   the minimum over the same set
+
+The exists modes do not list the chi-colourings: one exact branch and
+bound (``colouring._extreme_yield_colouring``) finds the
+lexicographically first colouring that reaches the extreme.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 from .colouring import (
     Colouring,
-    _search_colourings,
+    _extreme_yield_colouring,
     chromatic_number,
     convention_colouring,
     is_proper,
@@ -71,12 +75,14 @@ def rainbow_neighbourhood_number(
     ``chi`` is the chromatic number of ``g`` when the caller already
     holds it; it is computed otherwise.
 
-    Exhaustive modes scan the surjective proper chi-colourings in
-    lexicographic order, one per colour permutation (colours in first-use
-    order), and are meant for desk-scale graphs.  Permuting colours leaves
-    r unchanged, and the lexicographically first colouring reaching the
-    extreme is in first-use order, so skipping the permutations changes
-    neither r nor the colouring reported.  In convention mode a
+    The exists modes report the lexicographically first surjective proper
+    chi-colouring reaching the extreme of r.  Permuting colours leaves r
+    unchanged, and that colouring uses its colours in first-use order, so
+    a depth-first branch and bound over those colourings alone finds it.
+    It walks them in lexicographic order, cuts only branches that cannot
+    strictly improve on the best r found so far, and keeps only strict
+    improvements, so the first colouring met at the extreme is the one
+    kept.  It is meant for desk-scale graphs.  In convention mode a
     :class:`~jrainbow.colouring.ConventionInfeasibleError` propagates when
     the greedy-maximal discipline cannot realise chi classes.
     """
@@ -88,20 +94,8 @@ def rainbow_neighbourhood_number(
         chi, _ = chromatic_number(g)
     if mode == "convention":
         colouring = convention_colouring(g, chi)
-        return RainbowReport(yielding=yielding_vertices(g, colouring), colouring_used=colouring)
-    best: RainbowReport | None = None
-    want_max = mode == "exists-max"
-    for assign in _search_colourings(g, chi, canonical=True):
-        colouring = Colouring(ell=chi, assignment=assign)
-        report = RainbowReport(
-            yielding=yielding_vertices(g, colouring), colouring_used=colouring
+    else:
+        colouring = Colouring(
+            ell=chi, assignment=_extreme_yield_colouring(g, chi, mode == "exists-max")
         )
-        if best is None or (report.r > best.r if want_max else report.r < best.r):
-            best = report
-        # short-circuit at the extremes
-        if want_max and best.r == g.n:
-            break
-        if not want_max and best.r == 0:
-            break
-    assert best is not None  # chi-colourings always exist
-    return best
+    return RainbowReport(yielding=yielding_vertices(g, colouring), colouring_used=colouring)

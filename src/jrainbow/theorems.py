@@ -37,11 +37,9 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .analysis import GraphFacts
-from .colouring import ConventionInfeasibleError
+from .analysis import GraphFacts, _yielding
 from .connectivity import min_rainbow_path_lengths
 from .graphs import Graph, build_graph
-from .neighbourhoods import rainbow_neighbourhood_number
 
 WITNESS_CAP = 5
 
@@ -133,13 +131,12 @@ def _check_t2(facts: GraphFacts, mode: str | None) -> object:
     # vertex yield, so exists-max computes r only for a counterexample
     if mode == "exists-max" and admits == all(facts.all_yield_chi):
         return None
-    per_component = []
-    for comp, (chi, _) in zip(facts.decomposition.components, facts.chromatic):
-        try:
-            report = rainbow_neighbourhood_number(comp, mode, chi)
-        except ConventionInfeasibleError:
-            return _SKIP
-        per_component.append((report.r, comp.n))
+    yielding = [_yielding(facts, ci, mode) for ci in range(len(facts.decomposition))]
+    if None in yielding:
+        return _SKIP
+    per_component = [
+        (len(ys), comp.n) for ys, comp in zip(yielding, facts.decomposition.components)
+    ]
     rhs = all(r == n for r, n in per_component)
     if admits != rhs:
         return (

@@ -8,8 +8,9 @@ from jrainbow import (
     rainbow_neighbourhood_number,
     yields_rainbow,
 )
+from jrainbow import colouring
 
-from conftest import family
+from conftest import count_calls, family
 from oracles import naive_all_yield, naive_chromatic, naive_surjective_proper_colourings
 
 
@@ -73,11 +74,25 @@ def test_r_reports_reference_their_colouring(all_graphs_to_5):
         assert all(0 <= v < g.n for v in rep.yielding)
 
 
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return build_graph(10, outer + spokes + inner)
+
+
 def test_r_exists_modes_match_a_scan_of_every_colouring(all_graphs_to_6):
     # the oracle lists every surjective proper chi-colouring, colour
     # permutations included, in lexicographic order; each mode reports
     # the first colouring reaching its extreme
-    for g in all_graphs_to_6:
+    larger = [
+        family("cycle", 9),
+        family("cycle", 11),
+        family("wheel", 8),
+        family("complete_multipartite", 2, 3, 4),
+        _petersen(),
+    ]
+    for g in all_graphs_to_6 + larger:
         scan = []
         for c in naive_surjective_proper_colourings(g, naive_chromatic(g)):
             yielding = frozenset(v for v in range(g.n) if naive_all_yield(g, c, [v]))
@@ -89,6 +104,19 @@ def test_r_exists_modes_match_a_scan_of_every_colouring(all_graphs_to_6):
             assert (rep.r, rep.colouring_used, rep.yielding) == (
                 extreme, colouring, yielding,
             ), (g, mode)
+
+
+def test_r_exists_modes_search_effort():
+    # branch-and-bound nodes on C_15 in each mode; a lost bound or a later
+    # stop raises the count
+    c15 = family("cycle", 15)
+    nodes = {}
+    for mode in ("exists-max", "exists-min"):
+        rep, nodes[mode] = count_calls(
+            colouring, "branch", lambda: rainbow_neighbourhood_number(c15, mode, 3)
+        )
+        assert rep.r == (15 if mode == "exists-max" else 3)
+    assert nodes["exists-max"] <= 382 and nodes["exists-min"] <= 380, nodes
 
 
 def test_r_exists_min_complete_graph_k9():

@@ -1,5 +1,8 @@
 """Property tests on random connected graphs with up to 10 vertices: the
-J and J* solvers against independent oracles, and J under relabelling.
+J and J* solvers against independent oracles, J and the rainbow
+neighbourhood number r under relabelling, and the order of the r modes.
+Then the file formats: write-parse round trips, and both parsers fuzzed
+on arbitrary text.
 
 The ``derandomize`` profile draws the same examples on every run, so a
 failure reproduces and the suite's time does not vary."""
@@ -10,13 +13,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jrainbow import (
+    ConventionInfeasibleError,
+    FormatError,
     Graph,
     brute_force_j_number,
     build_graph,
+    chromatic_number,
     degree_profile,
     j_number,
     j_star_number,
+    parse_dimacs,
+    parse_edgelist,
+    rainbow_neighbourhood_number,
+    write_dimacs,
+    write_edgelist,
 )
+
+from jrainbow.io import MAX_VERTICES
 
 from oracles import naive_idomatic_number
 
@@ -53,10 +66,96 @@ def test_solvers_equal_the_brute_force_scan(g):
     assert j_star_number(g) == brute_force_j_number(g, star=True), g.edges
 
 
-@given(connected_graphs(), st.randoms(use_true_random=False))
-def test_j_number_is_invariant_under_relabelling(g, rng):
+@st.composite
+def graphs(draw, max_n: int = 12) -> Graph:
+    """Any graph with up to ``max_n`` vertices, the empty and disconnected
+    ones included."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, [pair for pair, keep in zip(pairs, chosen) if keep])
+
+
+def relabelled(g: Graph, rng) -> Graph:
     order = list(range(g.n))
     rng.shuffle(order)
-    relabelled = build_graph(g.n, [(order[u], order[v]) for u, v in g.edges])
-    before, after = j_number(g), j_number(relabelled)
+    return build_graph(g.n, [(order[u], order[v]) for u, v in g.edges])
+
+
+@given(connected_graphs(), st.randoms(use_true_random=False))
+def test_j_number_is_invariant_under_relabelling(g, rng):
+    before, after = j_number(g), j_number(relabelled(g, rng))
     assert (before.admits, before.value) == (after.admits, after.value), g.edges
+
+
+@given(connected_graphs())
+def test_r_convention_lies_between_the_exists_modes(g):
+    # the convention colouring is one of the chi-colourings that the
+    # exists modes range over
+    chi, _ = chromatic_number(g)
+    low = rainbow_neighbourhood_number(g, "exists-min", chi).r
+    high = rainbow_neighbourhood_number(g, "exists-max", chi).r
+    assert low <= high, g.edges
+    try:
+        middle = rainbow_neighbourhood_number(g, "convention", chi).r
+    except ConventionInfeasibleError:
+        return
+    assert low <= middle <= high, g.edges
+
+
+@given(connected_graphs(), st.randoms(use_true_random=False))
+def test_r_exists_modes_are_invariant_under_relabelling(g, rng):
+    h = relabelled(g, rng)
+    for mode in ("exists-max", "exists-min"):
+        assert rainbow_neighbourhood_number(g, mode).r == rainbow_neighbourhood_number(h, mode).r, (
+            g.edges, mode,
+        )
+
+
+@given(graphs())
+def test_edgelist_round_trip(g):
+    assert parse_edgelist(write_edgelist(g)) == g
+
+
+@given(graphs())
+def test_dimacs_round_trip(g):
+    assert parse_dimacs(write_dimacs(g)) == g
+
+
+# text built from lines of either format: headers, edges, comments and
+# noise, with numbers around the valid range and past the vertex limit
+small = st.integers(-1, 5)
+format_lines = st.one_of(
+    st.tuples(small, small).map(lambda t: f"{t[0]} {t[1]}"),
+    st.tuples(st.sampled_from(["p edge", "p col", "p edges"]), small, small).map(
+        lambda t: f"{t[0]} {t[1]} {t[2]}"
+    ),
+    st.tuples(small, small).map(lambda t: f"e {t[0]} {t[1]}"),
+    st.sampled_from(["", "c comment", "# comment", "p edge 65 0", "65 0", "p edge 2", "e 1"]),
+    st.text(max_size=6),
+)
+format_like_text = st.lists(format_lines, max_size=8).map("\n".join)
+
+
+@st.composite
+def spliced_files(draw) -> str:
+    """A written edge-list or DIMACS file with up to two of those lines
+    inserted and possibly one line dropped."""
+    write = draw(st.sampled_from([write_edgelist, write_dimacs]))
+    lines = write(draw(graphs(max_n=6))).splitlines()
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(format_lines))
+    if draw(st.booleans()):
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    return "\n".join(lines)
+
+
+@given(st.one_of(st.text(), format_like_text, spliced_files()))
+def test_parsers_raise_format_error_or_return_a_valid_graph(text):
+    for parse in (parse_edgelist, parse_dimacs):
+        try:
+            g = parse(text)
+        except FormatError:
+            continue
+        assert isinstance(g, Graph) and g.n <= MAX_VERTICES, (parse, text)
+        assert build_graph(g.n, g.edges) == g, (parse, text)

@@ -16,10 +16,10 @@ from jrainbow import (
     jstarc_number,
     report,
 )
-from jrainbow import analysis, connectivity, neighbourhoods
+from jrainbow import analysis, colouring, connectivity, neighbourhoods
 from jrainbow.theorems import THEOREM_MODES
 
-from conftest import family
+from conftest import count_calls, family
 from oracles import (
     naive_all_yield,
     naive_chromatic,
@@ -174,6 +174,13 @@ def test_check_all_computes_chi_once_per_component(monkeypatch):
         monkeypatch.setattr(module, "chromatic_number", counting)
     check_all(corpus)
     assert calls == sum(len(decompose(g)) for g in corpus) == 1610
+
+
+def test_check_all_builds_the_convention_colouring_once_per_component(all_graphs_to_6):
+    # T2 and T10 in convention mode, and the analysis document, read one
+    # convention fact per component, infeasible ones included
+    _, calls = count_calls(colouring, "convention_colouring", lambda: check_all(all_graphs_to_6))
+    assert 0 < calls <= sum(len(decompose(g)) for g in all_graphs_to_6)
 
 
 def test_check_all_searches_cycles_once_per_component(corpus_to_5, monkeypatch):
