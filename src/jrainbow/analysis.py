@@ -19,11 +19,11 @@ from .colouring import (
     chromatic_number,
     convention_colouring,
 )
-from .connectivity import _chi_candidates, rainbow_connecting_colouring
+from .connectivity import CHI_MODES, _chi_candidates, rainbow_connecting_colouring
 from .graphs import DegreeProfile, Graph, decompose, degree_profile, has_cycle_length_multiple
 from .jcolouring import (
     ComponentaResult,
-    _componentwise,
+    JResult,
     enumerate_j_colourings,
     j_number,
     j_star_number,
@@ -35,93 +35,116 @@ CONNECTIVITY_MODES = ("jc-exists", "chi-convention", "chi-exists")
 ALL_MODES = RAINBOW_MODES + CONNECTIVITY_MODES
 
 
-class GraphFacts:
-    """The per-graph facts that the claim checker, the analysis document
-    and the CLI read, each derived in one place.
+class ComponentFacts:
+    """The facts of one connected component that the claim checker, the
+    analysis document and the CLI read, each derived in one place,
+    computed on first use and then kept.  None marks what does not exist.
+    Every fact is a pure function of the exact component ``Graph``, so one
+    record serves every graph that has that component."""
 
-    The graph is decomposed on construction; every other fact is computed
-    on first use and then kept.  Per-component facts are indexed like
-    ``decomposition.components``; None marks what does not exist.
+    def __init__(self, comp: Graph) -> None:
+        self.graph = comp
+
+    @cached_property
+    def chromatic(self) -> tuple[int, Colouring]:
+        """chi and its witness."""
+        return chromatic_number(self.graph)
+
+    @cached_property
+    def convention(self) -> Colouring | None:
+        """The convention chi-colouring, None where the greedy-maximal
+        discipline cannot realise chi classes."""
+        try:
+            return convention_colouring(self.graph, self.chromatic[0])
+        except ConventionInfeasibleError:
+            return None
+
+    @cached_property
+    def profile(self) -> DegreeProfile:
+        return degree_profile(self.graph)
+
+    @cached_property
+    def cycle_multiple_of_3(self) -> bool:
+        """Whether some simple cycle has a length divisible by 3."""
+        return has_cycle_length_multiple(self.graph, 3)
+
+    @cached_property
+    def j(self) -> JResult:
+        return j_number(self.graph)
+
+    @cached_property
+    def j_star(self) -> JResult:
+        return j_star_number(self.graph)
+
+    @cached_property
+    def all_yield_chi(self) -> bool:
+        """Whether some surjective proper chi-colouring makes every vertex
+        yield, i.e. is a J-colouring on chi colours.  A J-colouring is
+        proper, so J >= chi: without J there is none, at J = chi the J
+        witness is one, and only J > chi needs a search."""
+        chi = self.chromatic[0]
+        return self.j.admits and (
+            self.j.value == chi
+            or next(enumerate_j_colourings(self.graph, chi), None) is not None
+        )
+
+    @cached_property
+    def jc_rainbow_colouring(self) -> Colouring | None:
+        """First maximum J-colouring that rainbow-connects all pairs; None
+        when there is none or J is undefined."""
+        if not self.j.admits:
+            return None
+        k = self.j.value
+        return rainbow_connecting_colouring(self.graph, k, enumerate_j_colourings(self.graph, k))
+
+    @cached_property
+    def convention_connected(self) -> bool | None:
+        """Whether the convention colouring rainbow-connects all pairs;
+        None where it is infeasible."""
+        if self.convention is None:
+            return None
+        chi = self.chromatic[0]
+        return rainbow_connecting_colouring(self.graph, chi, (self.convention,)) is not None
+
+    @cached_property
+    def exists_connected(self) -> bool:
+        """Whether some chi-colouring rainbow-connects all pairs."""
+        chi = self.chromatic[0]
+        candidates = _chi_candidates(self.graph, chi, "exists")
+        return rainbow_connecting_colouring(self.graph, chi, candidates) is not None
+
+
+class GraphFacts:
+    """The facts of one graph: its decomposition, one
+    :class:`ComponentFacts` per component (indexed like
+    ``decomposition.components``) and the componentwise results built
+    from them.
+
+    ``table`` maps each component ``Graph`` to its record; a component the
+    table already holds reuses that record, so records built on one table
+    solve each distinct component once.  Without a table the graph's own
+    components still share records where they are equal.
     """
 
-    def __init__(self, g: Graph) -> None:
+    def __init__(self, g: Graph, table: dict[Graph, ComponentFacts] | None = None) -> None:
         self.graph = g
         self.decomposition = decompose(g)
-
-    @cached_property
-    def chromatic(self) -> tuple[tuple[int, Colouring], ...]:
-        """(chi, witness) per component."""
-        return tuple(chromatic_number(comp) for comp in self.decomposition.components)
-
-    @cached_property
-    def convention(self) -> tuple[Colouring | None, ...]:
-        """Per component: its convention chi-colouring, None where the
-        greedy-maximal discipline cannot realise chi classes."""
-        colourings = []
-        for comp, (chi, _) in zip(self.decomposition.components, self.chromatic):
-            try:
-                colourings.append(convention_colouring(comp, chi))
-            except ConventionInfeasibleError:
-                colourings.append(None)
-        return tuple(colourings)
-
-    @cached_property
-    def degree_profiles(self) -> tuple[DegreeProfile, ...]:
-        return tuple(degree_profile(comp) for comp in self.decomposition.components)
-
-    @cached_property
-    def cycle_multiple_of_3(self) -> tuple[bool, ...]:
-        """Per component: whether some simple cycle has a length divisible
-        by 3."""
-        return tuple(
-            has_cycle_length_multiple(comp, 3) for comp in self.decomposition.components
-        )
+        table = {} if table is None else table
+        records = []
+        for comp in self.decomposition.components:
+            record = table.get(comp)
+            if record is None:
+                record = table[comp] = ComponentFacts(comp)
+            records.append(record)
+        self.components = tuple(records)
 
     @cached_property
     def jc(self) -> ComponentaResult:
-        return _componentwise(self.decomposition, j_number)
+        return ComponentaResult(self.decomposition, tuple(c.j for c in self.components))
 
     @cached_property
     def jstarc(self) -> ComponentaResult:
-        return _componentwise(self.decomposition, j_star_number)
-
-    @cached_property
-    def all_yield_chi(self) -> tuple[bool, ...]:
-        """Per component: whether some surjective proper chi-colouring makes
-        every vertex yield, i.e. is a J-colouring on chi colours.  A
-        J-colouring is proper, so J >= chi: without J there is none, at
-        J = chi the J witness is one, and only J > chi needs a search."""
-        return tuple(
-            res.admits
-            and (res.value == chi or next(enumerate_j_colourings(comp, chi), None) is not None)
-            for comp, res, (chi, _) in zip(
-                self.decomposition.components, self.jc.per_component, self.chromatic
-            )
-        )
-
-    # memo tables of the two methods below, made on first use: most
-    # records of a corpus run never need them
-    @cached_property
-    def _jc_rainbow(self) -> dict[int, Colouring | None]:
-        return {}
-
-    @cached_property
-    def _chi_rainbow(self) -> dict[str, bool | None]:
-        return {}
-
-    def jc_rainbow_colouring(self, ci: int) -> Colouring | None:
-        """First maximum J-colouring of component ``ci`` that rainbow-connects
-        all of its pairs; None when there is none or J is undefined there."""
-        if ci not in self._jc_rainbow:
-            comp = self.decomposition.components[ci]
-            res = self.jc.per_component[ci]
-            self._jc_rainbow[ci] = (
-                rainbow_connecting_colouring(
-                    comp, res.value, enumerate_j_colourings(comp, res.value)
-                )
-                if res.admits else None
-            )
-        return self._jc_rainbow[ci]
+        return ComponentaResult(self.decomposition, tuple(c.j_star for c in self.components))
 
     @property
     def jc_rainbow_connected(self) -> bool | None:
@@ -129,42 +152,28 @@ class GraphFacts:
         some component admits no J-colouring."""
         if not self.jc.admits:
             return None
-        return all(
-            self.jc_rainbow_colouring(ci) is not None
-            for ci in range(len(self.decomposition))
-        )
+        return all(c.jc_rainbow_colouring is not None for c in self.components)
 
     def chi_rainbow_connected(self, mode: str) -> bool | None:
         """Chromatic rainbow connectivity in ``mode``; None when the
         convention colouring of some component is infeasible, even where
         another component would refute it."""
-        if mode not in self._chi_rainbow:
-            comps = self.decomposition.components
-            chis = [chi for chi, _ in self.chromatic]
-            if mode == "convention" and None in self.convention:
-                self._chi_rainbow[mode] = None
-            else:
-                candidates = (
-                    [(colouring,) for colouring in self.convention]
-                    if mode == "convention"
-                    else [_chi_candidates(comp, chi, mode) for comp, chi in zip(comps, chis)]
-                )
-                self._chi_rainbow[mode] = all(
-                    rainbow_connecting_colouring(comp, chi, cands) is not None
-                    for comp, chi, cands in zip(comps, chis, candidates)
-                )
-        return self._chi_rainbow[mode]
+        if mode == "convention":
+            if any(c.convention is None for c in self.components):
+                return None
+            return all(c.convention_connected for c in self.components)
+        if mode == "exists":
+            return all(c.exists_connected for c in self.components)
+        raise ValueError(f"mode must be one of {CHI_MODES}, got {mode!r}")
 
 
-def _yielding(facts: GraphFacts, ci: int, mode: str) -> frozenset[int] | None:
-    """The vertices of component ``ci`` that yield rainbow neighbourhoods
+def _yielding(comp: ComponentFacts, mode: str) -> frozenset[int] | None:
+    """The vertices of component ``comp`` that yield rainbow neighbourhoods
     under its chromatic colouring in rainbow-neighbourhood ``mode``; None
     where the convention colouring is infeasible."""
-    comp = facts.decomposition.components[ci]
     if mode != "convention":
-        return rainbow_neighbourhood_number(comp, mode, facts.chromatic[ci][0]).yielding
-    colouring = facts.convention[ci]
-    return None if colouring is None else yielding_vertices(comp, colouring)
+        return rainbow_neighbourhood_number(comp.graph, mode, comp.chromatic[0]).yielding
+    return None if comp.convention is None else yielding_vertices(comp.graph, comp.convention)
 
 
 def analyse_graph(
@@ -178,23 +187,22 @@ def analyse_graph(
     if g.n == 0:
         raise ValueError("cannot analyse the empty graph")
     dec = facts.decomposition
-    jc, jstarc = facts.jc, facts.jstarc
     components = []
-    for ci, comp in enumerate(dec.components):
-        chi, chi_witness = facts.chromatic[ci]
+    for ci, (verts, comp) in enumerate(zip(dec.vertices, facts.components)):
+        chi, chi_witness = comp.chromatic
         entry: dict = {
             "index": ci,
-            "vertices": list(dec.vertices[ci]),
-            "n": comp.n,
-            "m": comp.m,
+            "vertices": list(verts),
+            "n": comp.graph.n,
+            "m": comp.graph.m,
             "chi": chi,
             "chi_witness": chi_witness.to_json_dict(),
-            "j": jc.per_component[ci].to_json_dict(),
-            "j_star": jstarc.per_component[ci].to_json_dict(),
+            "j": comp.j.to_json_dict(),
+            "j_star": comp.j_star.to_json_dict(),
             "rainbow_neighbourhood": {},
         }
         for mode in rainbow_modes:
-            yielding = _yielding(facts, ci, mode)
+            yielding = _yielding(comp, mode)
             entry["rainbow_neighbourhood"][mode] = {
                 "feasible": yielding is not None,
                 "r": None if yielding is None else len(yielding),
@@ -215,8 +223,8 @@ def analyse_graph(
         "graph": {"n": g.n, "m": g.m, "components": len(dec)},
         "components": components,
         "whole": {
-            "jc": jc.to_json_dict(),
-            "jstarc": jstarc.to_json_dict(),
+            "jc": facts.jc.to_json_dict(),
+            "jstarc": facts.jstarc.to_json_dict(),
             "connectivity": connectivity,
         },
     }

@@ -126,14 +126,11 @@ def _component_colourings(facts: GraphFacts) -> tuple[str, list[Colouring]]:
     when the graph admits a componentwise J-colouring, else each
     component's convention chromatic colouring, or its chromatic witness
     where the convention is infeasible."""
-    jc = facts.jc
-    if jc.admits:
-        return "j-colouring", [res.witness for res in jc.per_component]
-    colourings = [
-        chi_witness if convention is None else convention
-        for convention, (_, chi_witness) in zip(facts.convention, facts.chromatic)
+    if facts.jc.admits:
+        return "j-colouring", [c.j.witness for c in facts.components]
+    return "chromatic-convention", [
+        c.chromatic[1] if c.convention is None else c.convention for c in facts.components
     ]
-    return "chromatic-convention", colourings
 
 
 def _dot_colouring(dec: ComponentDecomposition, colourings: list[Colouring]) -> Colouring:
@@ -209,6 +206,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_rainbow(args: argparse.Namespace) -> int:
     g = read_graph(args.file, args.format)
+    if g.n == 0:
+        raise ValueError("componentwise numbers of the empty graph are undefined")
     facts = GraphFacts(g)
     dec = facts.decomposition
     source, comp_colourings = _component_colourings(facts)

@@ -106,14 +106,19 @@ def _flood(
     return reach, colours
 
 
-def _path_finder(g: Graph, colouring: Colouring) -> Callable[[int, int], tuple[int, ...] | None]:
-    """The rainbow-path search of ``g`` under ``colouring``: a function of
-    (u, v) that returns the first rainbow (u, v)-path in depth-first order,
-    neighbours ascending, or None.  Vertex and colour sets are int
-    bitmasks.  A state is the current end w of the path and the mask of
-    path vertices; whether it extends to a rainbow path ending at v depends
-    on nothing else, so states found dead are kept per target and shared
-    by every search of the same finder."""
+def rainbow_path_finder(
+    g: Graph, colouring: Colouring
+) -> Callable[[int, int], RainbowWitness | None]:
+    """The witness search of ``g`` under the proper ``colouring``: a
+    function of a pair (u, v) of distinct vertices that returns the first
+    rainbow (u, v)-path in depth-first order, neighbours ascending,
+    validated, or None.  Vertex and colour sets are int bitmasks.  A state
+    is the current end w of the path and the mask of path vertices;
+    whether it extends to a rainbow path ending at v depends on nothing
+    else, so states found dead are kept per target and shared by every
+    pair the finder is asked about."""
+    if not is_proper(g, colouring):
+        raise ValueError("colouring is not proper on this graph")
     masks = neighbour_masks(g)
     adjacency = g.adjacency
     n = g.n
@@ -121,7 +126,7 @@ def _path_finder(g: Graph, colouring: Colouring) -> Callable[[int, int], tuple[i
     full = (1 << colouring.ell) - 1
     dead_by_target: dict[int, set[int]] = {}
 
-    def find(u: int, v: int) -> tuple[int, ...] | None:
+    def find(u: int, v: int) -> RainbowWitness | None:
         target = 1 << v
         dead = dead_by_target.setdefault(v, set())
         path = [u]
@@ -147,36 +152,17 @@ def _path_finder(g: Graph, colouring: Colouring) -> Callable[[int, int], tuple[i
             dead.add(state)
             return False
 
-        return tuple(path) if extend(u, 1 << u, bits[u]) else None
+        if not extend(u, 1 << u, bits[u]):
+            return None
+        witness = RainbowWitness(
+            pair=(u, v),
+            path=tuple(path),
+            colours_seen=frozenset(colouring.assignment[x] for x in path),
+        )
+        witness.validate(g, colouring)
+        return witness
 
     return find
-
-
-def rainbow_path_finder(
-    g: Graph, colouring: Colouring
-) -> Callable[[int, int], RainbowWitness | None]:
-    """The witness search of ``g`` under the proper ``colouring``: a
-    function of a pair (u, v) of distinct vertices that returns the first
-    rainbow (u,v)-path in depth-first order, validated, or None.  One
-    finder serves every pair of a colouring and shares its dead states
-    among them."""
-    if not is_proper(g, colouring):
-        raise ValueError("colouring is not proper on this graph")
-    find = _path_finder(g, colouring)
-
-    def witness(u: int, v: int) -> RainbowWitness | None:
-        found = find(u, v)
-        if found is None:
-            return None
-        w = RainbowWitness(
-            pair=(u, v),
-            path=found,
-            colours_seen=frozenset(colouring.assignment[x] for x in found),
-        )
-        w.validate(g, colouring)
-        return w
-
-    return witness
 
 
 def rainbow_path_exists(

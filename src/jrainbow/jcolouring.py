@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .colouring import (
     Colouring,
@@ -84,6 +84,10 @@ class ComponentaResult:
 
     decomposition: ComponentDecomposition
     per_component: tuple[JResult, ...]
+
+    def __post_init__(self) -> None:
+        if not self.per_component:
+            raise ValueError("componentwise numbers of the empty graph are undefined")
 
     @property
     def admits(self) -> bool:
@@ -290,26 +294,17 @@ def enumerate_j_colourings(g: Graph, k: int) -> Iterator[Colouring]:
         yield Colouring(ell=k, assignment=assign)
 
 
-def _componentwise(
-    dec: ComponentDecomposition, solver: Callable[[Graph], JResult]
-) -> ComponentaResult:
-    if dec.parent.n == 0:
-        raise ValueError("componentwise numbers of the empty graph are undefined")
-    return ComponentaResult(
-        decomposition=dec,
-        per_component=tuple(solver(comp) for comp in dec.components),
-    )
-
-
 def jc_number(g: Graph) -> ComponentaResult:
     """Componentwise J number: admits iff every component admits a
     J-colouring; value is the maximum per-component J."""
-    return _componentwise(decompose(g), j_number)
+    dec = decompose(g)
+    return ComponentaResult(dec, tuple(j_number(comp) for comp in dec.components))
 
 
 def jstarc_number(g: Graph) -> ComponentaResult:
     """Componentwise J* number, symmetric to :func:`jc_number`."""
-    return _componentwise(decompose(g), j_star_number)
+    dec = decompose(g)
+    return ComponentaResult(dec, tuple(j_star_number(comp) for comp in dec.components))
 
 
 # ---------------------------------------------------------------------------
@@ -393,29 +388,3 @@ def maximise_colouring(
             if prop(g, candidate):
                 return candidate
     return colouring
-
-
-# ---------------------------------------------------------------------------
-# Independent brute-force route (oracle duals for the solvers)
-# ---------------------------------------------------------------------------
-
-def brute_force_j_number(g: Graph, star: bool = False) -> JResult:
-    """J (or J*) number by scanning every surjective proper k-colouring
-    from the degree cap downward and testing the predicate whole.
-
-    Deliberately shares no pruning with the solvers; used to cross-check
-    them on small graphs.
-    """
-    _require_connected(g, "brute_force_j_number")
-    predicate = is_j_star_colouring if star else is_j_colouring
-    profile = degree_profile(g)
-    if star:
-        cap = min((g.degree(v) for v in profile.internal), default=g.n - 1) + 1
-        cap = min(cap, g.n)
-    else:
-        cap = profile.delta + 1
-    for k in range(cap, 0, -1):
-        for colouring in enumerate_proper_colourings(g, k):
-            if predicate(g, colouring):
-                return JResult(admits=True, value=k, witness=colouring)
-    return JResult(admits=False)

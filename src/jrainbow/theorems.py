@@ -28,7 +28,8 @@ claims, in the checker's own labels:
 Graphs on which a convention colouring is infeasible are skipped (and
 counted) in convention modes.  Verdicts are deterministic.  The
 evaluators read a :class:`~jrainbow.analysis.GraphFacts` record, so
-``check_all`` computes each graph's facts once for every claim and mode.
+``check_all`` computes each graph's facts once for every claim and mode,
+and each distinct component's facts once for the whole corpus.
 """
 
 from __future__ import annotations
@@ -112,11 +113,11 @@ _SKIP = "skip"
 
 
 def _check_t1(facts: GraphFacts, mode: str | None) -> object:
-    for ci in range(len(facts.decomposition)):
-        res = facts.jc.per_component[ci]
+    for ci, comp in enumerate(facts.components):
+        res = comp.j
         if not res.admits:
             continue
-        chi, _ = facts.chromatic[ci]
+        chi, _ = comp.chromatic
         if not chi <= res.value:
             return (
                 f"component {ci} admits a J-colouring with J={res.value} < chi={chi}",
@@ -129,14 +130,12 @@ def _check_t2(facts: GraphFacts, mode: str | None) -> object:
     admits = facts.jc.admits
     # r = n on a component exactly when some chi-colouring makes every
     # vertex yield, so exists-max computes r only for a counterexample
-    if mode == "exists-max" and admits == all(facts.all_yield_chi):
+    if mode == "exists-max" and admits == all(c.all_yield_chi for c in facts.components):
         return None
-    yielding = [_yielding(facts, ci, mode) for ci in range(len(facts.decomposition))]
+    yielding = [_yielding(c, mode) for c in facts.components]
     if None in yielding:
         return _SKIP
-    per_component = [
-        (len(ys), comp.n) for ys, comp in zip(yielding, facts.decomposition.components)
-    ]
+    per_component = [(len(ys), c.graph.n) for ys, c in zip(yielding, facts.components)]
     rhs = all(r == n for r, n in per_component)
     if admits != rhs:
         return (
@@ -148,7 +147,7 @@ def _check_t2(facts: GraphFacts, mode: str | None) -> object:
 
 def _check_t3(facts: GraphFacts, mode: str | None) -> object:
     admits = facts.jc.admits
-    rhs = all(facts.all_yield_chi)
+    rhs = all(c.all_yield_chi for c in facts.components)
     if admits != rhs:
         return (
             f"admits={admits} but existence of an all-yield chi-colouring per component is {rhs}",
@@ -180,7 +179,7 @@ def _check_t5(facts: GraphFacts, mode: str | None) -> object:
     jstarc = facts.jstarc
     if not jstarc.admits:
         return None
-    bound = max(p.Delta for p in facts.degree_profiles) + 1
+    bound = max(c.profile.Delta for c in facts.components) + 1
     if not jstarc.value <= bound:
         return (
             f"jstarc={jstarc.value} exceeds max component Delta + 1 = {bound}",
@@ -196,7 +195,7 @@ def _check_t6(facts: GraphFacts, mode: str | None) -> object:
     if jstarc.value <= jc.value:
         return None
     argmax = [ci for ci, res in enumerate(jc.per_component) if res.value == jc.value]
-    if any(facts.degree_profiles[ci].pendants for ci in argmax):
+    if any(facts.components[ci].profile.pendants for ci in argmax):
         return None
     return (
         f"jstarc={jstarc.value} > jc={jc.value} yet no argmax component has a pendant vertex",
@@ -205,13 +204,13 @@ def _check_t6(facts: GraphFacts, mode: str | None) -> object:
 
 
 def _check_t7(facts: GraphFacts, mode: str | None) -> object:
-    for ci in range(len(facts.decomposition)):
-        res = facts.jc.per_component[ci]
+    for ci, comp in enumerate(facts.components):
+        res = comp.j
         if not res.admits or res.value < 3:
             continue
-        if facts.jc_rainbow_colouring(ci) is None:
+        if comp.jc_rainbow_colouring is None:
             continue
-        delta = facts.degree_profiles[ci].delta
+        delta = comp.profile.delta
         if delta < 2:
             return (
                 f"component {ci} has J={res.value} >= 3 and is J-rainbow connected "
@@ -224,11 +223,11 @@ def _check_t7(facts: GraphFacts, mode: str | None) -> object:
 def _check_t8(facts: GraphFacts, mode: str | None) -> object:
     if not facts.jc_rainbow_connected:  # undefined or not connected
         return None
-    for ci, comp in enumerate(facts.decomposition.components):
-        if comp.n < 2:
+    for ci, comp in enumerate(facts.components):
+        if comp.graph.n < 2:
             continue
-        lengths = min_rainbow_path_lengths(comp, facts.jc_rainbow_colouring(ci))
-        j_i = facts.jc.per_component[ci].value
+        lengths = min_rainbow_path_lengths(comp.graph, comp.jc_rainbow_colouring)
+        j_i = comp.j.value
         for pair, length in lengths.items():
             if length is None or length < j_i - 1:
                 return (
@@ -244,10 +243,7 @@ def _check_t9(facts: GraphFacts, mode: str | None) -> object:
     if lhs is None:
         return None
     rows = [
-        (res.value, has3, bool(profile.pendants))
-        for res, has3, profile in zip(
-            facts.jc.per_component, facts.cycle_multiple_of_3, facts.degree_profiles
-        )
+        (c.j.value, c.cycle_multiple_of_3, bool(c.profile.pendants)) for c in facts.components
     ]
     cycle_clause_all = all((not has3) or (not pendant) for _, has3, pendant in rows)
     if mode == "parse-a":
@@ -323,7 +319,8 @@ def check(
     mode: str | None = None,
 ) -> TheoremVerdict:
     """Evaluate one claim over a graph corpus, graph by graph in corpus
-    order.  Each entry is a graph or its facts record."""
+    order.  Each entry is a graph or its facts record; the records built
+    here share one component record per distinct component."""
     if theorem_id not in _CHECKERS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     modes = THEOREM_MODES[theorem_id]
@@ -335,8 +332,9 @@ def check(
     tested = 0
     skipped = 0
     fails: list[tuple[Graph, str, dict]] = []
+    table: dict = {}
     for entry in graphs:
-        facts = entry if isinstance(entry, GraphFacts) else GraphFacts(entry)
+        facts = entry if isinstance(entry, GraphFacts) else GraphFacts(entry, table)
         outcome = checker(facts, mode)
         if outcome == _SKIP:
             skipped += 1
@@ -372,14 +370,19 @@ def check_all(
     corpus: str = "",
     theorems: Iterable[str] | None = None,
 ) -> list[TheoremVerdict]:
-    """Run the selected claims (default: all) in every mode, ordered by
-    theorem id then mode.  Each graph's facts are computed once and shared
-    by every claim."""
-    selected = tuple(theorems) if theorems is not None else THEOREM_IDS
+    """Run the selected claims (default: all), each once in every mode,
+    ordered by theorem id then mode.  Each graph's record is built once and
+    shared by every claim, and the records share one component record per
+    distinct component."""
+    selected = tuple(dict.fromkeys(THEOREM_IDS if theorems is None else theorems))
+    if not selected:
+        raise ValueError("no claim selected")
     for tid in selected:
         if tid not in _CHECKERS:
             raise ValueError(f"unknown theorem id {tid!r}")
-    records = [GraphFacts(g) for g in graphs]
+    table: dict = {}
+    records = [GraphFacts(g, table) for g in graphs]
+    del table  # the records hold every component record they need
     verdicts = []
     for tid in sorted(selected, key=lambda t: int(t[1:])):
         for mode in THEOREM_MODES[tid]:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 
-from jrainbow import Colouring, Graph, build_graph
+from jrainbow import Colouring, Graph, JResult, build_graph
 
 
 def naive_is_k_colourable(g: Graph, k: int) -> bool:
@@ -53,6 +53,48 @@ def naive_surjective_proper_colourings(g: Graph, k: int) -> list[Colouring]:
         if all(assign[u] != assign[v] for u, v in g.edges):
             out.append(Colouring(ell=k, assignment=assign))
     return out
+
+
+def naive_proper_colourings(g: Graph, k: int):
+    """Every surjective proper k-colouring in lexicographic order of
+    assignment vectors, by plain backtracking in vertex order: a colour
+    already on an earlier neighbour is never tried, and a branch stops
+    when the vertices left are too few for the colours still unused."""
+    assign = [0] * g.n
+
+    def rec(i: int, used: frozenset[int]):
+        if i == g.n:
+            yield Colouring(ell=k, assignment=tuple(assign))
+            return
+        for c in range(1, k + 1):
+            if any(assign[u] == c for u in g.adjacency[i] if u < i):
+                continue
+            now_used = used | {c}
+            if k - len(now_used) > g.n - i - 1:
+                continue
+            assign[i] = c
+            yield from rec(i + 1, now_used)
+
+    yield from rec(0, frozenset())
+
+
+def brute_force_j_number(g: Graph, star: bool = False) -> JResult:
+    """J (or J*) number of connected ``g``: colour counts from the degree
+    cap downward, at each the first of :func:`naive_proper_colourings`
+    under which every vertex (for J*, every vertex of degree >= 2) sees
+    all colours, tested whole by :func:`naive_all_yield`.  The first hit
+    is the lexicographically first such colouring at the largest count."""
+    if star:
+        vertices = [v for v in range(g.n) if g.degree(v) >= 2]
+        cap = min((g.degree(v) + 1 for v in vertices), default=g.n)
+    else:
+        vertices = None
+        cap = min(g.degree(v) for v in range(g.n)) + 1
+    for k in range(cap, 0, -1):
+        for colouring in naive_proper_colourings(g, k):
+            if naive_all_yield(g, colouring, vertices):
+                return JResult(admits=True, value=k, witness=colouring)
+    return JResult(admits=False)
 
 
 def naive_mis_lex(g: Graph, candidates=None) -> frozenset[int]:

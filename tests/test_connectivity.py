@@ -357,7 +357,7 @@ def test_verdicts_equal_reports(all_graphs_to_6):
                 expected = is_jc_rainbow_connected(comp, "exists").colourings[0]
             else:
                 expected = None
-            assert facts.jc_rainbow_colouring(ci) == expected, (g, ci)
+            assert facts.components[ci].jc_rainbow_colouring == expected, (g, ci)
 
 
 def test_convention_infeasibility_wins_over_a_bridge_refutation():

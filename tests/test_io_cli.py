@@ -273,12 +273,37 @@ def test_cli_rainbow_dot_colours_match_json_colouring(tmp_path, capsys):
     assert classes == {v: str(c) for v, c in enumerate(doc["colourings"][0]["assignment"])}
 
 
+@pytest.mark.parametrize("selection", (["--all-pairs"], ["--pair", "0", "1"]))
+def test_cli_rainbow_rejects_the_empty_graph_exit_2(tmp_path, capsys, selection):
+    path = tmp_path / "empty.edges"
+    path.write_text("0 0\n")
+    assert main(["rainbow", str(path), *selection, "--json", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: componentwise numbers of the empty graph are undefined\n"
+
+
 def test_cli_check_json_and_modes(capsys):
     rc = main(["check", "--max-n", "4", "--theorems", "T2,T10", "--connected-only"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert [v["theorem"] for v in doc["verdicts"]] == ["T2", "T2", "T10", "T10"]
     assert all(v["corpus"] == "connected graphs n<=4" for v in doc["verdicts"])
+
+
+def test_cli_check_rejects_an_empty_claim_selection_exit_2(capsys):
+    assert main(["check", "--max-n", "3", "--theorems", ","]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: no claim selected\n"
+
+
+def test_cli_check_runs_a_repeated_claim_once(capsys):
+    assert main(["check", "--max-n", "3", "--theorems", "T2,T1,T2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [(v["theorem"], v["mode"]) for v in doc["verdicts"]] == [
+        ("T1", None), ("T2", "convention"), ("T2", "exists-max"),
+    ]
 
 
 def test_cli_bad_family_params(capsys):

@@ -4,7 +4,6 @@ from jrainbow import (
     Colouring,
     JResult,
     build_graph,
-    brute_force_j_number,
     chromatic_number,
     degree_profile,
     enumerate_graphs,
@@ -21,7 +20,7 @@ from jrainbow import (
 
 from conftest import family, union
 from jrainbow import FamilySpec, jcolouring
-from oracles import naive_clique_number, naive_idomatic_number
+from oracles import brute_force_j_number, naive_clique_number, naive_idomatic_number
 
 
 def test_jresult_fields_must_agree():
@@ -130,7 +129,8 @@ def test_bounds_on_small_graphs(connected_to_6):
 
 def test_solver_matches_brute_force_scan():
     # dual route over every connected graph with n <= 7: the pruned
-    # solver against a plain scan of the colouring enumeration.  The scan
+    # solver against the oracle's own scan of proper colourings, which
+    # shares no code with the package's colouring search.  The scan
     # returns the lexicographically first qualifying colouring, which is
     # in first-use order, so the witnesses agree as well as the values
     for n in range(1, 8):

@@ -16,7 +16,6 @@ from jrainbow import (
     ConventionInfeasibleError,
     FormatError,
     Graph,
-    brute_force_j_number,
     build_graph,
     chromatic_number,
     degree_profile,
@@ -31,7 +30,7 @@ from jrainbow import (
 
 from jrainbow.io import MAX_VERTICES
 
-from oracles import naive_idomatic_number
+from oracles import brute_force_j_number, naive_idomatic_number
 
 settings.register_profile(
     "derandomize", derandomize=True, database=None, deadline=None, max_examples=150

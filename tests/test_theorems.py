@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -16,10 +17,10 @@ from jrainbow import (
     jstarc_number,
     report,
 )
-from jrainbow import analysis, colouring, connectivity, neighbourhoods
+from jrainbow import analysis, colouring, connectivity, graphs, jcolouring, neighbourhoods, theorems
 from jrainbow.theorems import THEOREM_MODES
 
-from conftest import count_calls, family
+from conftest import family
 from oracles import (
     naive_all_yield,
     naive_chromatic,
@@ -142,61 +143,52 @@ def test_shared_facts_give_the_verdicts_of_fresh_checks(corpus_to_5):
     assert [v.to_json_dict() for v in shared] == [v.to_json_dict() for v in fresh]
 
 
-def test_check_all_searches_each_component_once(corpus_to_5, monkeypatch):
-    # each J-rainbow search of a component draws its candidates from one
-    # enumerate_j_colourings stream; the chi verdicts draw on other streams
-    searched = []
-    original = analysis.enumerate_j_colourings
-
-    def counting(g, ell):
-        searched.append(g)
-        return original(g, ell)
-
-    monkeypatch.setattr(analysis, "enumerate_j_colourings", counting)
-    check_all(corpus_to_5)
-    assert searched
-    assert len({id(g) for g in searched}) == len(searched)
-    assert len(searched) <= sum(len(decompose(g)) for g in corpus_to_5)
+# the per-component solvers whose calls check_all makes through a record,
+# each with the module that defines it
+COUNTED = {
+    "chromatic_number": colouring,
+    "convention_colouring": colouring,
+    "has_cycle_length_multiple": graphs,
+    "enumerate_j_colourings": jcolouring,
+}
 
 
-def test_check_all_computes_chi_once_per_component(monkeypatch):
-    # every claim reads chi from the facts record, T2 included
+@pytest.fixture(scope="module")
+def calls_over_check_all_to_7():
+    """The corpus of every graph with n <= 7 and, per solver of COUNTED,
+    the argument tuples of its calls while check_all runs over that
+    corpus, through whichever module binding each call went."""
     corpus = [g for n in range(1, 8) for g in enumerate_graphs(n)]
-    calls = 0
-    original = chromatic_number
+    calls = {name: [] for name in COUNTED}
+    with pytest.MonkeyPatch.context() as patch:
+        for name, home in COUNTED.items():
+            original = getattr(home, name)
 
-    def counting(g):
-        nonlocal calls
-        calls += 1
-        return original(g)
+            def recording(*args, _original=original, _calls=calls[name]):
+                _calls.append(args)
+                return _original(*args)
 
-    for module in (analysis, connectivity, neighbourhoods):
-        monkeypatch.setattr(module, "chromatic_number", counting)
-    check_all(corpus)
-    assert calls == sum(len(decompose(g)) for g in corpus) == 1610
-
-
-def test_check_all_builds_the_convention_colouring_once_per_component(all_graphs_to_6):
-    # T2 and T10 in convention mode, and the analysis document, read one
-    # convention fact per component, infeasible ones included
-    _, calls = count_calls(colouring, "convention_colouring", lambda: check_all(all_graphs_to_6))
-    assert 0 < calls <= sum(len(decompose(g)) for g in all_graphs_to_6)
+            for module in (analysis, colouring, connectivity, graphs, jcolouring,
+                           neighbourhoods, theorems):
+                if getattr(module, name, None) is original:
+                    patch.setattr(module, name, recording)
+        check_all(corpus)
+    return corpus, calls
 
 
-def test_check_all_searches_cycles_once_per_component(corpus_to_5, monkeypatch):
-    # both T9 parses read one cycle fact per component
-    searched = []
-    original = analysis.has_cycle_length_multiple
-
-    def counting(g, k):
-        searched.append(g)
-        return original(g, k)
-
-    monkeypatch.setattr(analysis, "has_cycle_length_multiple", counting)
-    check_all(corpus_to_5)
-    assert searched
-    assert len({id(g) for g in searched}) == len(searched)
-    assert len(searched) <= sum(len(decompose(g)) for g in corpus_to_5)
+@pytest.mark.parametrize("name", COUNTED)
+def test_check_all_solves_each_distinct_component_once(name, calls_over_check_all_to_7):
+    # the corpus has 1610 components but 996 distinct ones, its connected
+    # graphs; every claim reads each fact from one record per distinct
+    # component, and each use of enumerate_j_colourings (at chi for T2 and
+    # T3, at J for the J-rainbow search) opens one stream per component
+    corpus, calls = calls_over_check_all_to_7
+    components = [comp for g in corpus for comp in decompose(g).components]
+    assert len(components) == 1610 and len(set(components)) == 996
+    repeated = [args for args, count in Counter(calls[name]).items() if count > 1]
+    assert calls[name] and not repeated, repeated[:3]
+    if name == "chromatic_number":
+        assert len(calls[name]) == 996
 
 
 def test_all_yield_chi_matches_the_oracles(all_graphs_to_6):
@@ -210,8 +202,9 @@ def test_all_yield_chi_matches_the_oracles(all_graphs_to_6):
             )
             for _, comp in naive_components(g)
         )
-        assert analysis.GraphFacts(g).all_yield_chi == expected, g.edges
-    assert analysis.GraphFacts(ORDER_8_WITNESS).all_yield_chi == (False,)
+        facts = analysis.GraphFacts(g)
+        assert tuple(c.all_yield_chi for c in facts.components) == expected, g.edges
+    assert not analysis.GraphFacts(ORDER_8_WITNESS).components[0].all_yield_chi
 
 
 def test_t3_searches_only_components_with_j_above_chi(corpus_to_5, monkeypatch):
@@ -260,6 +253,8 @@ def test_unknown_theorem_rejected(corpus_to_5):
         check("T11", corpus_to_5)
     with pytest.raises(ValueError):
         check_all(corpus_to_5, theorems=["T0"])
+    with pytest.raises(ValueError, match="no claim selected"):
+        check_all(corpus_to_5, theorems=[])
 
 
 # ---------------------------------------------------------------------------
