@@ -19,7 +19,12 @@ from .colouring import (
     chromatic_number,
     convention_colouring,
 )
-from .connectivity import CHI_MODES, _chi_candidates, rainbow_connecting_colouring
+from .connectivity import (
+    CHI_MODES,
+    _chi_candidates,
+    min_rainbow_path_lengths,
+    rainbow_connecting_colouring,
+)
 from .graphs import DegreeProfile, Graph, decompose, degree_profile, has_cycle_length_multiple
 from .jcolouring import (
     ComponentaResult,
@@ -108,10 +113,36 @@ class ComponentFacts:
 
     @cached_property
     def exists_connected(self) -> bool:
-        """Whether some chi-colouring rainbow-connects all pairs."""
+        """Whether some chi-colouring rainbow-connects all pairs.  Two
+        colourings the record already holds certify a positive: the
+        convention colouring when it connects, and the connecting
+        J-colouring when J = chi, which is then itself a chi-colouring.
+        Rainbow connectivity is invariant under colour permutation, so
+        either settles the verdict; only without one are the canonical
+        chi-colourings searched.  The verdict alone is kept: the public
+        predicate still reports the first canonical candidate that
+        connects, which a certificate need not be."""
         chi = self.chromatic[0]
+        if self.convention_connected or (
+            self.j.admits and self.j.value == chi and self.jc_rainbow_colouring is not None
+        ):
+            return True
         candidates = _chi_candidates(self.graph, chi, "exists")
         return rainbow_connecting_colouring(self.graph, chi, candidates) is not None
+
+    @cached_property
+    def short_rainbow_pair(self) -> tuple[tuple[int, int], int | None] | None:
+        """For claim T8: the first pair, in pair order, whose shortest
+        rainbow path under ``jc_rainbow_colouring`` is missing (None) or
+        has fewer than J - 1 edges, with that length; None when every
+        pair is long enough.  Only that pair is kept, not every length."""
+        lengths = min_rainbow_path_lengths(self.graph, self.jc_rainbow_colouring)
+        floor = self.j.value - 1
+        return next(
+            ((pair, length) for pair, length in lengths.items()
+             if length is None or length < floor),
+            None,
+        )
 
 
 class GraphFacts:

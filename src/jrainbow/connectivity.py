@@ -28,6 +28,13 @@ path search.  Otherwise each candidate retries first the source that
 failed the previous one, and is dropped at its first failing source.
 Only reported colourings are scanned pair by pair for witnesses, by the
 per-pair search, which also fixes which path each pair reports.
+
+``is_chi_rainbow_connected`` in mode "exists" reports the first
+canonical chi-colouring that connects, so it always runs the candidate
+search.  The claim checker needs only the verdict, and
+``analysis.ComponentFacts.exists_connected`` reads it first off two
+certificates the record already holds: a convention colouring that
+connects, and a connecting J-colouring when J = chi.
 """
 
 from __future__ import annotations

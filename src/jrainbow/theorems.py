@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .analysis import GraphFacts, _yielding
-from .connectivity import min_rainbow_path_lengths
 from .graphs import Graph, build_graph
 
 WITNESS_CAP = 5
@@ -226,15 +225,15 @@ def _check_t8(facts: GraphFacts, mode: str | None) -> object:
     for ci, comp in enumerate(facts.components):
         if comp.graph.n < 2:
             continue
-        lengths = min_rainbow_path_lengths(comp.graph, comp.jc_rainbow_colouring)
-        j_i = comp.j.value
-        for pair, length in lengths.items():
-            if length is None or length < j_i - 1:
-                return (
-                    f"component {ci} pair {pair}: shortest rainbow path length "
-                    f"{length} < J-1 = {j_i - 1}",
-                    {"component": ci, "pair": list(pair), "length": length, "j": j_i},
-                )
+        short = comp.short_rainbow_pair
+        if short is not None:
+            pair, length = short
+            j_i = comp.j.value
+            return (
+                f"component {ci} pair {pair}: shortest rainbow path length "
+                f"{length} < J-1 = {j_i - 1}",
+                {"component": ci, "pair": list(pair), "length": length, "j": j_i},
+            )
     return None
 
 

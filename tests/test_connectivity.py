@@ -21,6 +21,7 @@ from jrainbow import (
     rainbow_path_exists,
 )
 from jrainbow import connectivity
+from jrainbow.analysis import ComponentFacts
 from jrainbow.connectivity import _chi_candidates, rainbow_connecting_colouring
 from jrainbow.graphs import has_bridge
 
@@ -358,6 +359,21 @@ def test_verdicts_equal_reports(all_graphs_to_6):
             else:
                 expected = None
             assert facts.components[ci].jc_rainbow_colouring == expected, (g, ci)
+
+
+def test_exists_certificates_agree_with_the_candidate_search():
+    # the exists verdict may come from the convention colouring or a
+    # J-colouring at J = chi; on every connected graph with n <= 7 it must
+    # equal the full canonical search's, whichever fact is read first
+    for n in range(1, 8):
+        for comp in enumerate_graphs(n, connected_only=True):
+            chi = chromatic_number(comp)[0]
+            candidates = _chi_candidates(comp, chi, "exists")
+            expected = rainbow_connecting_colouring(comp, chi, candidates) is not None
+            assert ComponentFacts(comp).exists_connected == expected, comp.edges
+            later = ComponentFacts(comp)
+            later.convention_connected, later.jc_rainbow_colouring
+            assert later.exists_connected == expected, comp.edges
 
 
 def test_convention_infeasibility_wins_over_a_bridge_refutation():

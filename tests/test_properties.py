@@ -1,18 +1,22 @@
 """Property tests on random connected graphs with up to 10 vertices: the
 J and J* solvers against independent oracles, J and the rainbow
-neighbourhood number r under relabelling, and the order of the r modes.
-Then the file formats: write-parse round trips, and both parsers fuzzed
-on arbitrary text.
+neighbourhood number r under relabelling, and the order of the r modes;
+with up to 8 vertices, the rainbow-connectivity verdict of the chromatic
+witness against a scan of every simple path.  Then the file formats:
+write-parse round trips, and both parsers fuzzed on arbitrary text.
 
 The ``derandomize`` profile draws the same examples on every run, so a
 failure reproduces and the suite's time does not vary."""
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jrainbow import (
+    Colouring,
     ConventionInfeasibleError,
     FormatError,
     Graph,
@@ -28,9 +32,10 @@ from jrainbow import (
     write_edgelist,
 )
 
+from jrainbow.connectivity import rainbow_connecting_colouring
 from jrainbow.io import MAX_VERTICES
 
-from oracles import brute_force_j_number, naive_idomatic_number
+from oracles import brute_force_j_number, naive_idomatic_number, naive_rainbow_path_exists
 
 settings.register_profile(
     "derandomize", derandomize=True, database=None, deadline=None, max_examples=150
@@ -109,6 +114,36 @@ def test_r_exists_modes_are_invariant_under_relabelling(g, rng):
         assert rainbow_neighbourhood_number(g, mode).r == rainbow_neighbourhood_number(h, mode).r, (
             g.edges, mode,
         )
+
+
+def random_colouring(g: Graph, rng) -> Colouring:
+    """A random proper colouring: each vertex, in a shuffled order, takes a
+    random colour of 1..n that no coloured neighbour has; the colours used
+    are then renumbered 1..ell in increasing order."""
+    order = list(range(g.n))
+    rng.shuffle(order)
+    assignment = [0] * g.n
+    for u in order:
+        taken = {assignment[w] for w in g.adjacency[u]}
+        assignment[u] = rng.choice([c for c in range(1, g.n + 1) if c not in taken])
+    used = {c: i for i, c in enumerate(sorted(set(assignment)), start=1)}
+    return Colouring(ell=len(used), assignment=tuple(used[c] for c in assignment))
+
+
+@given(connected_graphs(max_n=8), st.randoms(use_true_random=False))
+def test_rainbow_verdict_equals_the_path_oracle(g, rng):
+    # the bridge rule and the per-source search against every simple path
+    # of every pair, under the chromatic witness and under a random proper
+    # colouring, whose extra colours let the search refute bridgeless
+    # graphs too; the oracle lists all paths, which on dense graphs with 10
+    # vertices is too slow for this suite, hence n <= 8
+    for colouring in (chromatic_number(g)[1], random_colouring(g, rng)):
+        verdict = rainbow_connecting_colouring(g, colouring.ell, (colouring,)) is not None
+        expected = all(
+            naive_rainbow_path_exists(g, colouring, u, v)
+            for u, v in combinations(range(g.n), 2)
+        )
+        assert verdict == expected, (g.edges, colouring)
 
 
 @given(graphs())

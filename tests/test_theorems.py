@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -133,6 +134,16 @@ def test_determinism_across_runs_and_workers(corpus_to_5):
     assert ref == again
 
 
+def test_report_does_not_depend_on_corpus_order(all_graphs_to_6):
+    # facts records are shared across the corpus, so a component first met
+    # in another graph must still give the same verdicts and witnesses
+    shuffled = list(all_graphs_to_6)
+    random.Random(16).shuffle(shuffled)
+    assert shuffled != all_graphs_to_6
+    ref = report(check_all(all_graphs_to_6, corpus="x"), "json")
+    assert report(check_all(shuffled, corpus="x"), "json") == ref
+
+
 def test_shared_facts_give_the_verdicts_of_fresh_checks(corpus_to_5):
     shared = check_all(corpus_to_5, corpus="x")
     fresh = [
@@ -150,6 +161,7 @@ COUNTED = {
     "convention_colouring": colouring,
     "has_cycle_length_multiple": graphs,
     "enumerate_j_colourings": jcolouring,
+    "min_rainbow_path_lengths": connectivity,
 }
 
 
@@ -157,10 +169,23 @@ COUNTED = {
 def calls_over_check_all_to_7():
     """The corpus of every graph with n <= 7 and, per solver of COUNTED,
     the argument tuples of its calls while check_all runs over that
-    corpus, through whichever module binding each call went."""
+    corpus, through whichever module binding each call went; and the
+    components from which the chi ``exists`` search drew a candidate."""
     corpus = [g for n in range(1, 8) for g in enumerate_graphs(n)]
     calls = {name: [] for name in COUNTED}
+    drawn = []
+    original_candidates = analysis._chi_candidates
+
+    def candidates(comp, chi, mode):
+        first = True
+        for col in original_candidates(comp, chi, mode):
+            if first:
+                drawn.append(comp)
+                first = False
+            yield col
+
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_chi_candidates", candidates)
         for name, home in COUNTED.items():
             original = getattr(home, name)
 
@@ -173,7 +198,7 @@ def calls_over_check_all_to_7():
                 if getattr(module, name, None) is original:
                     patch.setattr(module, name, recording)
         check_all(corpus)
-    return corpus, calls
+    return corpus, calls, drawn
 
 
 @pytest.mark.parametrize("name", COUNTED)
@@ -182,13 +207,25 @@ def test_check_all_solves_each_distinct_component_once(name, calls_over_check_al
     # graphs; every claim reads each fact from one record per distinct
     # component, and each use of enumerate_j_colourings (at chi for T2 and
     # T3, at J for the J-rainbow search) opens one stream per component
-    corpus, calls = calls_over_check_all_to_7
+    corpus, calls, _ = calls_over_check_all_to_7
     components = [comp for g in corpus for comp in decompose(g).components]
     assert len(components) == 1610 and len(set(components)) == 996
     repeated = [args for args, count in Counter(calls[name]).items() if count > 1]
     assert calls[name] and not repeated, repeated[:3]
     if name == "chromatic_number":
         assert len(calls[name]) == 996
+    if name == "min_rainbow_path_lengths":
+        # T8 reads one record field per distinct J-rainbow connected
+        # component with a pair, not one length search per graph
+        assert len(calls[name]) == 279
+
+
+def test_exists_search_draws_only_where_no_certificate_holds(calls_over_check_all_to_7):
+    # of the 996 distinct components, the convention colouring or a J-colouring
+    # at J = chi certifies 546, the bridge rule refutes 363 of the other 450
+    # unseen, and only the remaining 87 draw a candidate, each once
+    _, _, drawn = calls_over_check_all_to_7
+    assert len(drawn) == len(set(drawn)) == 87
 
 
 def test_all_yield_chi_matches_the_oracles(all_graphs_to_6):
