@@ -112,23 +112,29 @@ class ComponentFacts:
         return rainbow_connecting_colouring(self.graph, chi, (self.convention,)) is not None
 
     @cached_property
+    def exists_colouring(self) -> Colouring | None:
+        """The first canonical chi-colouring that rainbow-connects all
+        pairs; None when there is none."""
+        chi = self.chromatic[0]
+        return rainbow_connecting_colouring(self.graph, chi, _chi_candidates(self.graph, chi))
+
+    @cached_property
     def exists_connected(self) -> bool:
         """Whether some chi-colouring rainbow-connects all pairs.  Two
         colourings the record already holds certify a positive: the
         convention colouring when it connects, and the connecting
         J-colouring when J = chi, which is then itself a chi-colouring.
         Rainbow connectivity is invariant under colour permutation, so
-        either settles the verdict; only without one are the canonical
-        chi-colourings searched.  The verdict alone is kept: the public
-        predicate still reports the first canonical candidate that
-        connects, which a certificate need not be."""
+        either settles the verdict; only without one is
+        ``exists_colouring`` searched.  A certificate need not be the
+        first canonical colouring that connects, so it does not stand in
+        for ``exists_colouring``."""
         chi = self.chromatic[0]
         if self.convention_connected or (
             self.j.admits and self.j.value == chi and self.jc_rainbow_colouring is not None
         ):
             return True
-        candidates = _chi_candidates(self.graph, chi, "exists")
-        return rainbow_connecting_colouring(self.graph, chi, candidates) is not None
+        return self.exists_colouring is not None
 
     @cached_property
     def short_rainbow_pair(self) -> tuple[tuple[int, int], int | None] | None:

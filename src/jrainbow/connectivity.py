@@ -29,12 +29,8 @@ failed the previous one, and is dropped at its first failing source.
 Only reported colourings are scanned pair by pair for witnesses, by the
 per-pair search, which also fixes which path each pair reports.
 
-``is_chi_rainbow_connected`` in mode "exists" reports the first
-canonical chi-colouring that connects, so it always runs the candidate
-search.  The claim checker needs only the verdict, and
-``analysis.ComponentFacts.exists_connected`` reads it first off two
-certificates the record already holds: a convention colouring that
-connects, and a connecting J-colouring when J = chi.
+The predicates read each component's colouring off its
+``analysis.ComponentFacts`` record, so equal components share one solve.
 """
 
 from __future__ import annotations
@@ -43,20 +39,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .colouring import (
-    Colouring,
-    _search_colourings,
-    chromatic_number,
-    convention_colouring,
-    is_proper,
-)
-from .graphs import ComponentDecomposition, Graph, decompose, has_bridge, neighbour_masks
-from .jcolouring import (
-    NotJColourable,
-    enumerate_j_colourings,
-    is_j_colouring,
-    jc_number,
-)
+from .colouring import Colouring, _search_colourings, convention_colouring, is_proper
+from .graphs import ComponentDecomposition, Graph, has_bridge, neighbour_masks
+from .jcolouring import NotJColourable, is_j_colouring
 
 JC_MODES = ("given", "exists")
 CHI_MODES = ("convention", "exists")
@@ -383,14 +368,16 @@ def is_jc_rainbow_connected(
     component admits no J-colouring, since the predicate is undefined
     there.
     """
+    from .analysis import GraphFacts
+
     if mode not in JC_MODES:
         raise ValueError(f"mode must be one of {JC_MODES}, got {mode!r}")
-    result = jc_number(g)
-    if not result.admits:
+    facts = GraphFacts(g)
+    if not facts.jc.admits:
         raise NotJColourable(
             "predicate undefined: some component admits no J-colouring"
         )
-    dec = result.decomposition
+    dec = facts.decomposition
     if mode == "given":
         if colourings is None or len(colourings) != len(dec):
             raise ValueError(
@@ -400,27 +387,18 @@ def is_jc_rainbow_connected(
             if not is_j_colouring(comp, col):
                 raise ValueError("supplied colouring is not a J-colouring of its component")
     else:
-        colourings = tuple(
-            rainbow_connecting_colouring(comp, res.value, enumerate_j_colourings(comp, res.value))
-            for comp, res in zip(dec.components, result.per_component)
-        )
+        colourings = tuple(c.jc_rainbow_colouring for c in facts.components)
     return _report(dec, mode, colourings)
 
 
-def _chi_candidates(comp: Graph, chi: int, mode: str) -> Iterable[Colouring]:
-    """The chi-colourings of one component that ``mode`` considers: the
-    convention colouring alone, built at once so that its infeasibility
-    raises here, or lazily every surjective proper one.  Rainbow
-    connectivity is invariant under colour permutation, so one
-    representative per permutation class suffices."""
-    if mode == "convention":
-        return (convention_colouring(comp, chi),)
-    if mode == "exists":
-        return (
-            Colouring(ell=chi, assignment=assign)
-            for assign in _search_colourings(comp, chi, canonical=True)
-        )
-    raise ValueError(f"mode must be one of {CHI_MODES}, got {mode!r}")
+def _chi_candidates(comp: Graph, chi: int) -> Iterable[Colouring]:
+    """Lazily, every surjective proper chi-colouring of one component, one
+    representative per colour permutation: rainbow connectivity is
+    invariant under colour permutation, so one suffices."""
+    return (
+        Colouring(ell=chi, assignment=assign)
+        for assign in _search_colourings(comp, chi, canonical=True)
+    )
 
 
 def is_chi_rainbow_connected(g: Graph, mode: str = "exists") -> ConnectivityReport:
@@ -431,16 +409,19 @@ def is_chi_rainbow_connected(g: Graph, mode: str = "exists") -> ConnectivityRepo
     infeasibility propagates), mode="exists" searches every surjective
     proper chi-colouring for one that rainbow-connects all pairs.
     """
+    from .analysis import GraphFacts
+
     if g.n == 0:
         raise ValueError("connectivity of the empty graph is undefined")
-    dec = decompose(g)
-    chis = [chromatic_number(comp)[0] for comp in dec.components]
-    candidates = [_chi_candidates(comp, chi, mode) for comp, chi in zip(dec.components, chis)]
+    if mode not in CHI_MODES:
+        raise ValueError(f"mode must be one of {CHI_MODES}, got {mode!r}")
+    facts = GraphFacts(g)
     if mode == "convention":
-        colourings = [cands[0] for cands in candidates]
-    else:
+        # where the record holds none, building it again raises the error
         colourings = [
-            rainbow_connecting_colouring(comp, chi, cands)
-            for comp, chi, cands in zip(dec.components, chis, candidates)
+            c.convention or convention_colouring(c.graph, c.chromatic[0])
+            for c in facts.components
         ]
-    return _report(dec, mode, colourings)
+    else:
+        colourings = [c.exists_colouring for c in facts.components]
+    return _report(facts.decomposition, mode, colourings)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from jrainbow import (
@@ -20,7 +22,7 @@ from jrainbow import (
     min_rainbow_path_lengths,
     rainbow_path_exists,
 )
-from jrainbow import connectivity
+from jrainbow import analysis, colouring, connectivity, jcolouring
 from jrainbow.analysis import ComponentFacts
 from jrainbow.connectivity import _chi_candidates, rainbow_connecting_colouring
 from jrainbow.graphs import has_bridge
@@ -196,6 +198,34 @@ def test_is_j_colouring_accepts_given_witness():
     assert rep.colourings[0].ell == jc_number(c6).value
 
 
+@pytest.mark.parametrize(
+    "predicate, mode, part, home, solver",
+    [
+        (is_chi_rainbow_connected, "convention", FamilySpec("cycle", (5,)), colouring,
+         "chromatic_number"),
+        (is_chi_rainbow_connected, "exists", FamilySpec("cycle", (5,)), colouring,
+         "chromatic_number"),
+        (is_jc_rainbow_connected, "exists", FamilySpec("complete", (3,)), jcolouring,
+         "enumerate_j_colourings"),
+    ],
+)
+def test_predicates_solve_equal_components_once(predicate, mode, part, home, solver, monkeypatch):
+    # the two equal components of one graph share one facts record, so the
+    # predicate calls the solver once, through whichever binding it uses
+    original = getattr(home, solver)
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (analysis, colouring, connectivity, jcolouring):
+        if getattr(module, solver, None) is original:
+            monkeypatch.setattr(module, solver, recording)
+    assert predicate(union(part, part), mode).connected
+    assert len(calls) == 1
+
+
 def test_invalid_modes_rejected():
     with pytest.raises(ValueError, match="mode"):
         is_jc_rainbow_connected(family("complete", 3), "nope")
@@ -368,7 +398,7 @@ def test_exists_certificates_agree_with_the_candidate_search():
     for n in range(1, 8):
         for comp in enumerate_graphs(n, connected_only=True):
             chi = chromatic_number(comp)[0]
-            candidates = _chi_candidates(comp, chi, "exists")
+            candidates = _chi_candidates(comp, chi)
             expected = rainbow_connecting_colouring(comp, chi, candidates) is not None
             assert ComponentFacts(comp).exists_connected == expected, comp.edges
             later = ComponentFacts(comp)
@@ -391,7 +421,10 @@ def test_convention_infeasibility_wins_over_a_bridge_refutation():
     facts = GraphFacts(g)
     assert facts.chi_rainbow_connected("convention") is None
     assert facts.chi_rainbow_connected("exists") is False
-    with pytest.raises(ConventionInfeasibleError):
+    comp = facts.decomposition.components[1]
+    with pytest.raises(ConventionInfeasibleError) as built:
+        convention_colouring(comp, chromatic_number(comp)[0])
+    with pytest.raises(ConventionInfeasibleError, match=f"^{re.escape(str(built.value))}$"):
         is_chi_rainbow_connected(g, "convention")
 
 
@@ -421,7 +454,7 @@ def test_connecting_colouring_is_the_first_oracle_connecting_candidate(connected
     outcomes = {"none": 0, "first": 0, "later": 0}
     for g in connected_to_6 + list(ORDER_7_CASES):
         chi, _ = chromatic_number(g)
-        candidate_sets = [(chi, list(_chi_candidates(g, chi, "exists")))]
+        candidate_sets = [(chi, list(_chi_candidates(g, chi)))]
         try:
             candidate_sets.append((chi, [convention_colouring(g, chi)]))
         except ConventionInfeasibleError:

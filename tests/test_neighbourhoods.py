@@ -47,6 +47,14 @@ def test_r_rejects_empty_graph():
         rainbow_neighbourhood_number(build_graph(0, []))
 
 
+@pytest.mark.parametrize("mode", ["exists-max", "exists-min"])
+@pytest.mark.parametrize("chi", [2, 5])
+def test_r_exists_modes_reject_a_chi_with_no_colouring(mode, chi):
+    # K_3 has no proper 2-colouring and no surjective 5-colouring
+    with pytest.raises(ValueError, match=f"chi={chi}"):
+        rainbow_neighbourhood_number(family("complete", 3), mode, chi)
+
+
 def test_r_convention_propagates_infeasibility():
     double_star = build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
     with pytest.raises(ConventionInfeasibleError):

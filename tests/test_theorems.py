@@ -176,9 +176,9 @@ def calls_over_check_all_to_7():
     drawn = []
     original_candidates = analysis._chi_candidates
 
-    def candidates(comp, chi, mode):
+    def candidates(comp, chi):
         first = True
-        for col in original_candidates(comp, chi, mode):
+        for col in original_candidates(comp, chi):
             if first:
                 drawn.append(comp)
                 first = False
