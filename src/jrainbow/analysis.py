@@ -16,12 +16,12 @@ from typing import Iterable
 from .colouring import (
     Colouring,
     ConventionInfeasibleError,
+    _search_colourings,
     chromatic_number,
     convention_colouring,
 )
 from .connectivity import (
     CHI_MODES,
-    _chi_candidates,
     min_rainbow_path_lengths,
     rainbow_connecting_colouring,
 )
@@ -116,7 +116,8 @@ class ComponentFacts:
         """The first canonical chi-colouring that rainbow-connects all
         pairs; None when there is none."""
         chi = self.chromatic[0]
-        return rainbow_connecting_colouring(self.graph, chi, _chi_candidates(self.graph, chi))
+        candidates = _search_colourings(self.graph, chi, canonical=True)
+        return rainbow_connecting_colouring(self.graph, chi, candidates)
 
     @cached_property
     def exists_connected(self) -> bool:

@@ -9,8 +9,8 @@ Subcommands:
 
 Exit codes: 0 success; 1 when --expect-admits was set but the graph
 admits no componentwise J-colouring; 2 on input errors (malformed files
-are reported with line numbers, and a graph file may declare at most
-64 vertices, ``io.MAX_VERTICES``).
+are reported with line numbers, and a graph file or a family instance
+may have at most 64 vertices, ``io.MAX_VERTICES``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .colouring import Colouring
 from .connectivity import rainbow_path_finder
 from .families import KINDS, FamilySpec, enumerate_graphs, generate, oracle_j, oracle_j_star
 from .graphs import ComponentDecomposition, Graph
-from .io import FormatError, export_dot, read_graph
+from .io import MAX_VERTICES, FormatError, export_dot, read_graph
 from .neighbourhoods import MODES as RAINBOW_MODES
 from .theorems import THEOREM_IDS, check_all, report
 
@@ -169,6 +169,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_family(args: argparse.Namespace) -> int:
     spec = FamilySpec(args.kind, tuple(args.params))
+    n = sum(spec.params)  # the vertex count of every kind offered here
+    if n > MAX_VERTICES:
+        raise ValueError(
+            f"{spec.describe()}: vertex count {n} exceeds the limit of {MAX_VERTICES}"
+        )
     g = generate(spec)
     oracle = {
         "family": {

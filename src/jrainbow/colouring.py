@@ -6,16 +6,17 @@ surjective onto {1..ell}: a colouring that skips a colour cannot be
 represented, which keeps the "minimum parameter" discipline an invariant
 of the type rather than a property to re-check everywhere.
 
-Three searches live here.  The exhaustive colouring search behind
-:func:`enumerate_proper_colourings` also finds the chromatic number, the
-chromatic candidates of rainbow connectivity, J* on components with a
-pendant vertex and the J-colourings of
+Two colouring searches walk one vertex plan (:func:`_plan`), hold
+colour c as the bit 1 << (c - 1) and hand out :class:`Colouring`
+objects.  The exhaustive search behind :func:`enumerate_proper_colourings` also finds
+the chromatic number, the chromatic candidates of rainbow connectivity,
+J* on components with a pendant vertex and the J-colourings of
 :func:`jrainbow.jcolouring.enumerate_j_colourings`: it optionally
 enforces full colour coverage on the closed neighbourhoods of a chosen
 vertex set, pruning as soon as a neighbourhood is completely assigned.
-A branch and bound in the same vertex order finds the chi-colouring with
-the most or the fewest rainbow neighbourhoods, for the exists modes of
-the rainbow neighbourhood number r.  One clique search gives the clique
+A branch and bound over the same plan finds the chi-colouring with the
+most or the fewest rainbow neighbourhoods, for the exists modes of the
+rainbow neighbourhood number r.  One clique search gives the clique
 number that bounds chi from below and, run on the complement, the
 maximum independent sets that form the classes of the convention
 colouring.
@@ -97,13 +98,20 @@ def inverse_colouring(colouring: Colouring) -> Colouring:
 # Exhaustive colouring search
 # ---------------------------------------------------------------------------
 
-def _finish_index(g: Graph, vertices: Iterable[int]) -> list[list[int]]:
-    """finish_at[i]: the given vertices whose closed neighbourhood becomes
-    fully assigned when vertex i receives its colour."""
-    finish_at: list[list[int]] = [[] for _ in range(g.n)]
-    for w in set(vertices):
-        finish_at[max(g.adjacency[w] + (w,))].append(w)
-    return finish_at
+def _plan(g: Graph, covered: Iterable[int]) -> tuple[list, list, list]:
+    """The vertex plan both colouring searches walk, in vertex order:
+    earlier[i], the neighbours of vertex i coloured before it;
+    finish_at[i], the ``covered`` vertices whose closed neighbourhood
+    becomes fully assigned when vertex i receives its colour; and
+    closed[w], the closed neighbourhood of vertex w."""
+    covered = set(covered)
+    earlier, finish_at, closed = [], [[] for _ in range(g.n)], []
+    for v, neighbours in enumerate(g.adjacency):
+        earlier.append([u for u in neighbours if u < v])
+        closed.append((v,) + neighbours)
+        if v in covered:
+            finish_at[max(closed[v])].append(v)
+    return earlier, finish_at, closed
 
 
 def _search_colourings(
@@ -112,9 +120,9 @@ def _search_colourings(
     *,
     covered: Iterable[int] = (),
     canonical: bool = False,
-) -> Iterator[tuple[int, ...]]:
-    """Yield surjective proper k-colour assignment vectors of ``g`` in
-    lexicographic order.
+) -> Iterator[Colouring]:
+    """Yield the surjective proper k-colourings of ``g`` in lexicographic
+    order of assignment vectors.
 
     covered: vertices whose closed neighbourhood must contain all k
         colours; each is checked as soon as its neighbourhood is fully
@@ -123,66 +131,58 @@ def _search_colourings(
         appear in first-use order).
     """
     n = g.n
-    if k < 1:
-        return
-    if n == 0:
+    if k < 1 or n == 0:
         return
     full = (1 << k) - 1
-    finish_at = _finish_index(g, covered)
-    adjacency = g.adjacency
-    assign = [0] * n
+    earlier, finish_at, closed = _plan(g, covered)
+    bits = [0] * n  # colour c of a vertex as the bit 1 << (c - 1)
 
-    def closed_mask(w: int) -> int:
-        mask = 1 << (assign[w] - 1)
-        for u in adjacency[w]:
-            mask |= 1 << (assign[u] - 1)
-        return mask
-
-    def rec(i: int, used_mask: int, used_count: int) -> Iterator[tuple[int, ...]]:
+    def rec(i: int, used_mask: int, used_count: int) -> Iterator[Colouring]:
         if i == n:
-            yield tuple(assign)
+            yield Colouring(ell=k, assignment=tuple(map(int.bit_length, bits)))
             return
         forbidden = 0
-        for u in adjacency[i]:
-            if u < i:
-                forbidden |= 1 << (assign[u] - 1)
+        for u in earlier[i]:
+            forbidden |= bits[u]
         limit = min(k, used_count + 1) if canonical else k
         remaining = n - i - 1
-        for c in range(1, limit + 1):
-            bit = 1 << (c - 1)
+        for c in range(limit):
+            bit = 1 << c
             if forbidden & bit:
                 continue
             new_count = used_count if used_mask & bit else used_count + 1
             if k - new_count > remaining:
                 continue
-            assign[i] = c
-            if all(closed_mask(w) == full for w in finish_at[i]):
+            bits[i] = bit
+            for w in finish_at[i]:
+                mask = 0
+                for u in closed[w]:
+                    mask |= bits[u]
+                if mask != full:
+                    break
+            else:
                 yield from rec(i + 1, used_mask | bit, new_count)
-        assign[i] = 0
 
     yield from rec(0, 0, 0)
 
 
-def _extreme_yield_colouring(g: Graph, k: int, maximise: bool) -> tuple[int, ...]:
-    """The lexicographically first surjective proper k-colour assignment
-    vector of ``g`` under which the most (``maximise``) or the fewest
-    vertices see all k colours in their closed neighbourhood.
+def _extreme_yield_colouring(g: Graph, k: int, maximise: bool) -> Colouring | None:
+    """The lexicographically first surjective proper k-colouring of ``g``
+    under which the most (``maximise``) or the fewest vertices see all k
+    colours in their closed neighbourhood; None when there is none.
 
-    Depth-first branch and bound in vertex order, with the first-use
-    colour limit and the surjectivity cut of the canonical
-    :func:`_search_colourings`.
+    Depth-first branch and bound over the plan of the canonical
+    :func:`_search_colourings`, with its first-use colour limit and its
+    surjectivity cut.
     A vertex is counted once its closed neighbourhood is fully assigned.
     A branch is cut when it cannot strictly beat the best count found so
     far, so only strictly better leaves are reached, and the first leaf
     at the extreme is the one returned.  Once the best count is n (or 0)
-    that cut ends every open branch at its next vertex.  ``g`` must be
-    non-empty and k-colourable.
+    that cut ends every open branch at its next vertex.
     """
     n = g.n
     full = (1 << k) - 1
-    finish_at = _finish_index(g, range(n))
-    closed = [(w,) + g.adjacency[w] for w in range(n)]
-    earlier = [[u for u in g.adjacency[i] if u < i] for i in range(n)]
+    earlier, finish_at, closed = _plan(g, range(n))
     # undecided[i]: vertices not yet counted or ruled out once vertex i
     # has its colour
     undecided = [n - done for done in accumulate(map(len, finish_at))]
@@ -222,7 +222,9 @@ def _extreme_yield_colouring(g: Graph, k: int, maximise: bool) -> tuple[int, ...
             branch(i + 1, new_count, yielding)
 
     branch(0, 0, 0)
-    return tuple(b.bit_length() for b in best_bits)
+    if not best_bits:
+        return None
+    return Colouring(ell=k, assignment=tuple(map(int.bit_length, best_bits)))
 
 
 def enumerate_proper_colourings(g: Graph, k: int) -> Iterator[Colouring]:
@@ -231,8 +233,7 @@ def enumerate_proper_colourings(g: Graph, k: int) -> Iterator[Colouring]:
     exist.  Intended for desk-scale graphs."""
     if k < 1:
         raise ValueError(f"colour count must be positive, got {k}")
-    for assign in _search_colourings(g, k):
-        yield Colouring(ell=k, assignment=assign)
+    yield from _search_colourings(g, k)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +306,8 @@ def chromatic_number(g: Graph) -> tuple[int, Colouring]:
     greedy = greedy_colouring(g)
     lower = clique_number(g)
     for k in range(lower, greedy.ell):
-        for assign in _search_colourings(g, k, canonical=True):
-            return k, Colouring(ell=k, assignment=assign)
+        for colouring in _search_colourings(g, k, canonical=True):
+            return k, colouring
     return greedy.ell, greedy
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .colouring import Colouring, _search_colourings, convention_colouring, is_proper
+from .colouring import Colouring, convention_colouring, is_proper
 from .graphs import ComponentDecomposition, Graph, has_bridge, neighbour_masks
 from .jcolouring import NotJColourable, is_j_colouring
 
@@ -389,16 +389,6 @@ def is_jc_rainbow_connected(
     else:
         colourings = tuple(c.jc_rainbow_colouring for c in facts.components)
     return _report(dec, mode, colourings)
-
-
-def _chi_candidates(comp: Graph, chi: int) -> Iterable[Colouring]:
-    """Lazily, every surjective proper chi-colouring of one component, one
-    representative per colour permutation: rainbow connectivity is
-    invariant under colour permutation, so one suffices."""
-    return (
-        Colouring(ell=chi, assignment=assign)
-        for assign in _search_colourings(comp, chi, canonical=True)
-    )
 
 
 def is_chi_rainbow_connected(g: Graph, mode: str = "exists") -> ConnectivityReport:

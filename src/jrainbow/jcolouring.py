@@ -159,8 +159,8 @@ def _solve_max(g: Graph, covered: frozenset[int], cap: int) -> JResult:
     omega, so no smaller k is tried.  Serves the J* solver on graphs with
     a pendant vertex."""
     for k in range(min(cap, g.n), clique_number(g) - 1, -1):
-        for assign in _search_colourings(g, k, covered=covered, canonical=True):
-            return JResult(admits=True, value=k, witness=Colouring(ell=k, assignment=assign))
+        for witness in _search_colourings(g, k, covered=covered, canonical=True):
+            return JResult(admits=True, value=k, witness=witness)
     return JResult(admits=False)
 
 
@@ -200,10 +200,10 @@ def _maximal_independent_sets(
         excluded |= low
 
 
-def _largest_mis_partition(g: Graph) -> tuple[int, ...] | None:
-    """First-use colour assignment of the lexicographically smallest
-    partition of the vertices of ``g`` into the most maximal independent
-    sets, or None when no such partition exists.
+def _largest_mis_partition(g: Graph) -> Colouring | None:
+    """First-use colouring whose classes are the lexicographically
+    smallest partition of the vertices of ``g`` into the most maximal
+    independent sets, or None when no such partition exists.
 
     Exact cover on int bitmasks: the lowest uncovered vertex opens the
     next block, which is any maximal independent set of the whole graph
@@ -250,7 +250,7 @@ def _largest_mis_partition(g: Graph) -> tuple[int, ...] | None:
             cover(uncovered ^ block, nxt)
 
     cover(everything, 0)
-    return tuple(witness) if best else None
+    return Colouring(ell=best, assignment=tuple(witness)) if best else None
 
 
 @lru_cache(maxsize=None)
@@ -262,11 +262,10 @@ def j_number(g: Graph) -> JResult:
     and the witness is the first J-colouring at that count in first-use
     order."""
     _require_connected(g, "j_number")
-    assign = _largest_mis_partition(g)
-    if assign is None:
+    witness = _largest_mis_partition(g)
+    if witness is None:
         return JResult(admits=False)
-    k = max(assign)
-    return JResult(admits=True, value=k, witness=Colouring(ell=k, assignment=assign))
+    return JResult(admits=True, value=witness.ell, witness=witness)
 
 
 @lru_cache(maxsize=None)
@@ -288,10 +287,7 @@ def enumerate_j_colourings(g: Graph, k: int) -> Iterator[Colouring]:
     """All surjective proper k-colourings of connected ``g`` in which every
     vertex yields, one representative per colour permutation."""
     _require_connected(g, "enumerate_j_colourings")
-    for assign in _search_colourings(
-        g, k, covered=frozenset(range(g.n)), canonical=True
-    ):
-        yield Colouring(ell=k, assignment=assign)
+    yield from _search_colourings(g, k, covered=range(g.n), canonical=True)
 
 
 def jc_number(g: Graph) -> ComponentaResult:

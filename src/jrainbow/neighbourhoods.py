@@ -95,8 +95,7 @@ def rainbow_neighbourhood_number(
     if mode == "convention":
         colouring = convention_colouring(g, chi)
     else:
-        assign = _extreme_yield_colouring(g, chi, mode == "exists-max")
-        if not assign:
+        colouring = _extreme_yield_colouring(g, chi, mode == "exists-max")
+        if colouring is None:
             raise ValueError(f"this graph has no surjective proper colouring on chi={chi} colours")
-        colouring = Colouring(ell=chi, assignment=assign)
     return RainbowReport(yielding=yielding_vertices(g, colouring), colouring_used=colouring)

@@ -34,11 +34,10 @@ and each distinct component's facts once for the whole corpus.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .analysis import GraphFacts, _yielding
+from .analysis import GraphFacts, _yielding, dump_json
 from .graphs import Graph, build_graph
 
 WITNESS_CAP = 5
@@ -404,7 +403,7 @@ def report(verdicts: Sequence[TheoremVerdict], fmt: str = "text") -> str:
         ],
     }
     if fmt == "json":
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return dump_json(doc)
     if fmt != "text":
         raise ValueError(f"format must be 'text' or 'json', got {fmt!r}")
     lines = []

@@ -17,21 +17,23 @@ def union(*specs: FamilySpec) -> Graph:
 
 def count_calls(module, name: str, run):
     """The result of ``run()`` and how many calls it made to Python
-    functions named ``name`` defined in ``module``, nested ones included."""
-    calls = 0
+    functions named ``name`` defined in ``module``, nested ones included.
+    The profiler reports every resumption of a generator as a call, so
+    frames are counted, not those events; each counted frame is held
+    until the run ends, so no later frame can reuse its id."""
+    frames = {}
 
     def profile(frame, event, arg):
-        nonlocal calls
         code = frame.f_code
         if event == "call" and code.co_name == name and code.co_filename == module.__file__:
-            calls += 1
+            frames[id(frame)] = frame
 
     sys.setprofile(profile)
     try:
         result = run()
     finally:
         sys.setprofile(None)
-    return result, calls
+    return result, len(frames)
 
 
 @pytest.fixture(scope="session")

@@ -16,13 +16,15 @@ from jrainbow import (
     is_proper,
     maximum_independent_set,
 )
-from jrainbow.colouring import clique_number
+from jrainbow.colouring import _search_colourings, clique_number
 
 from conftest import family
 from oracles import (
+    naive_all_yield,
     naive_chromatic,
     naive_clique_number,
     naive_mis_lex,
+    naive_proper_colourings,
     naive_surjective_proper_colourings,
 )
 
@@ -244,3 +246,28 @@ def test_enumerate_lex_order_unique_and_complete():
             assert len(got) == len(set(got))
             expect = [c.assignment for c in naive_surjective_proper_colourings(g, k)]
             assert got == expect
+
+
+def _first_use(colouring):
+    """Colours appear in the order 1, 2, ... along the vertices."""
+    top = 0
+    for c in colouring.assignment:
+        if c > top + 1:
+            return False
+        top = max(top, c)
+    return True
+
+
+def test_search_matches_the_oracle_in_every_mode(all_graphs_to_5):
+    # the plain search lists the oracle's colourings; the canonical one
+    # keeps those in first-use order, and covered vertices must yield
+    for g in all_graphs_to_5:
+        internal = [v for v in range(g.n) if len(g.adjacency[v]) >= 2]
+        for k in range(1, g.n + 1):
+            expect = list(naive_proper_colourings(g, k))
+            assert list(_search_colourings(g, k)) == expect, (g.edges, k)
+            canonical = [c for c in expect if _first_use(c)]
+            for covered in ((), internal, range(g.n)):
+                got = list(_search_colourings(g, k, covered=covered, canonical=True))
+                want = [c for c in canonical if naive_all_yield(g, c, covered)]
+                assert got == want, (g.edges, k, list(covered))

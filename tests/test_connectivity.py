@@ -24,7 +24,8 @@ from jrainbow import (
 )
 from jrainbow import analysis, colouring, connectivity, jcolouring
 from jrainbow.analysis import ComponentFacts
-from jrainbow.connectivity import _chi_candidates, rainbow_connecting_colouring
+from jrainbow.colouring import _search_colourings
+from jrainbow.connectivity import rainbow_connecting_colouring
 from jrainbow.graphs import has_bridge
 
 from conftest import count_calls, family, union
@@ -398,7 +399,7 @@ def test_exists_certificates_agree_with_the_candidate_search():
     for n in range(1, 8):
         for comp in enumerate_graphs(n, connected_only=True):
             chi = chromatic_number(comp)[0]
-            candidates = _chi_candidates(comp, chi)
+            candidates = _search_colourings(comp, chi, canonical=True)
             expected = rainbow_connecting_colouring(comp, chi, candidates) is not None
             assert ComponentFacts(comp).exists_connected == expected, comp.edges
             later = ComponentFacts(comp)
@@ -454,7 +455,7 @@ def test_connecting_colouring_is_the_first_oracle_connecting_candidate(connected
     outcomes = {"none": 0, "first": 0, "later": 0}
     for g in connected_to_6 + list(ORDER_7_CASES):
         chi, _ = chromatic_number(g)
-        candidate_sets = [(chi, list(_chi_candidates(g, chi)))]
+        candidate_sets = [(chi, list(_search_colourings(g, chi, canonical=True)))]
         try:
             candidate_sets.append((chi, [convention_colouring(g, chi)]))
         except ConventionInfeasibleError:

@@ -306,6 +306,19 @@ def test_cli_check_runs_a_repeated_claim_once(capsys):
     ]
 
 
+@pytest.mark.parametrize("argv, n", [
+    (["path", "65"], 65),
+    (["complete", "90"], 90),
+    (["complete_multipartite", "40", "30"], 70),
+    (["forest_union", "60", "5"], 65),
+])
+def test_cli_family_rejects_vertex_counts_above_the_limit(capsys, argv, n):
+    assert main(["family", *argv]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert f"vertex count {n} exceeds the limit of {MAX_VERTICES}" in captured.err
+
+
 def test_cli_bad_family_params(capsys):
     rc = main(["family", "cycle", "2"])
     assert rc == 2

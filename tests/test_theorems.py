@@ -174,18 +174,18 @@ def calls_over_check_all_to_7():
     corpus = [g for n in range(1, 8) for g in enumerate_graphs(n)]
     calls = {name: [] for name in COUNTED}
     drawn = []
-    original_candidates = analysis._chi_candidates
+    original_search = analysis._search_colourings
 
-    def candidates(comp, chi):
+    def candidates(comp, chi, **kwargs):
         first = True
-        for col in original_candidates(comp, chi):
+        for col in original_search(comp, chi, **kwargs):
             if first:
                 drawn.append(comp)
                 first = False
             yield col
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analysis, "_chi_candidates", candidates)
+        patch.setattr(analysis, "_search_colourings", candidates)
         for name, home in COUNTED.items():
             original = getattr(home, name)
 

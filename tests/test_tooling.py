@@ -1,11 +1,15 @@
 """The benchmark's tracer (bench/tracing.py) finds package functions by
 name, so a function it names must not vanish from the package unnoticed.
-The tracer file is parsed here, never imported or run."""
+The tracer file is parsed here, never imported or run.  The call counter
+the search-effort tests use is checked here too."""
 
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
+
+from conftest import count_calls
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -40,3 +44,20 @@ def test_every_traced_function_resolves_on_the_package():
         if not hasattr(_resolve(module, function), "cache_info")
     ]
     assert not wrong and not uncached, (wrong, uncached)
+
+
+def _three_items():
+    yield from range(3)
+    yield 3
+
+
+def test_count_calls_counts_a_resumed_generator_once():
+    # the profiler reports each resumption and the close as a call
+    def draw_three_then_close():
+        items = _three_items()
+        drawn = [next(items) for _ in range(3)]
+        items.close()
+        return drawn
+
+    drawn, calls = count_calls(sys.modules[__name__], "_three_items", draw_three_then_close)
+    assert (drawn, calls) == ([0, 1, 2], 1)
