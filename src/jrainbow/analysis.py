@@ -210,7 +210,7 @@ def _yielding(comp: ComponentFacts, mode: str) -> frozenset[int] | None:
     under its chromatic colouring in rainbow-neighbourhood ``mode``; None
     where the convention colouring is infeasible."""
     if mode != "convention":
-        return rainbow_neighbourhood_number(comp.graph, mode, comp.chromatic[0]).yielding
+        return rainbow_neighbourhood_number(comp.graph, mode).yielding
     return None if comp.convention is None else yielding_vertices(comp.graph, comp.convention)
 
 

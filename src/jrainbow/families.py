@@ -1,22 +1,26 @@
 """Graph family generators, closed-form J-number oracles, and exhaustive
 enumeration of small non-isomorphic graphs and trees.
 
-The oracles answer without running a solver, from facts that pin each
-family down:
+Each family instance is built from its connected pieces: a null graph
+(or a one-part multipartite graph) is a row of K_1, a forest union a row
+of paths, a disjoint union the pieces of its parts.  Each connected kind
+has one construction that gives its labelled edges and its J and J*
+witnesses, so ``generate`` lays the pieces side by side and the oracles
+read J^c and J*^c off them, without running a solver, from facts that
+pin each kind down:
 
-  null graphs      J = J* = 1 (one colour class, no edges to violate)
   complete K_n     J = J* = n (closed neighbourhoods are everything)
+  paths P_n        J = 2 (bipartition) from order 2 on; J* = 3 from order 3
   cycles C_n       admit iff n = 0 mod 2 or mod 3; J = 3 when 3 | n else 2,
                    capped by delta+1 = 3 and realised by periodic patterns
   wheels W_n       (hub + rim C_{n-1}) J = 4 when 3 | rim, J = 3 when rim
                    even and not divisible by 3, otherwise no J-colouring
-  complete multipartite with parts n_1..n_l: J = l (colour by part)
-  forests          non-trivial tree components have J = 2 (bipartition),
-                   trivial ones 1; J* is 3 for any tree of order >= 3,
-                   with stars reaching Delta+1
+  complete multipartite with parts n_1..n_l: J = l (colour by part);
+                   stars reach J* = Delta+1
 
-Every oracle answer carries a formula-built witness so tests can validate
-it through the colouring predicates without consulting the solvers.
+Pendant-free pieces have J* = J.  Every witness is formula-built, so
+tests can validate it through the colouring predicates without
+consulting the solvers.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cache
+from typing import NamedTuple
 
 from .colouring import Colouring
 from .graphs import Graph, build_graph, is_connected, neighbour_masks
@@ -89,159 +94,110 @@ def _validate(spec: FamilySpec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Generators (canonical labelled constructions)
+# Connected pieces: one labelled construction per connected kind, with the
+# witnesses that hold under that labelling
 # ---------------------------------------------------------------------------
 
+class _Piece(NamedTuple):
+    """A connected graph on vertices 0..n-1 with its J and J* witness
+    assignments; a witness is None where the piece has no such colouring,
+    and its largest colour is the number."""
+
+    n: int
+    edges: list[tuple[int, int]]
+    j: tuple[int, ...] | None
+    j_star: tuple[int, ...] | None
+
+
+def _periodic(n: int, period: int) -> tuple[int, ...]:
+    return tuple(i % period + 1 for i in range(n))
+
+
+def _complete(n: int) -> _Piece:
+    colours = tuple(range(1, n + 1))
+    return _Piece(n, list(itertools.combinations(range(n), 2)), colours, colours)
+
+
+def _path(n: int) -> _Piece:
+    # below order 3 the period-3 pattern is 1, or 1 2: J* = n
+    return _Piece(n, [(i, i + 1) for i in range(n - 1)], _periodic(n, 2), _periodic(n, 3))
+
+
+def _cycle(n: int) -> _Piece:
+    j = _periodic(n, 3) if n % 3 == 0 else _periodic(n, 2) if n % 2 == 0 else None
+    return _Piece(n, [(i, (i + 1) % n) for i in range(n)], j, j)
+
+
+def _wheel(n: int) -> _Piece:
+    # the rim 1..n-1 keeps its cycle colouring and the hub takes one more
+    rim = _cycle(n - 1)
+    edges = [(0, i) for i in range(1, n)] + [(u + 1, v + 1) for u, v in rim.edges]
+    j = None if rim.j is None else (max(rim.j) + 1,) + rim.j
+    return _Piece(n, edges, j, j)
+
+
+def _complete_multipartite(*sizes: int) -> _Piece:
+    # a star has only its centre internal, so each leaf takes its own J* colour
+    blocks = [range(end - size, end) for size, end in zip(sizes, itertools.accumulate(sizes))]
+    edges = [(u, v) for a, b in itertools.combinations(blocks, 2) for u in a for v in b]
+    j = tuple(colour for colour, size in enumerate(sizes, start=1) for _ in range(size))
+    j_star = j
+    if len(sizes) == 2 and min(sizes) == 1 and max(sizes) >= 2:
+        leaves = tuple(range(2, max(sizes) + 2))
+        j_star = (1,) + leaves if sizes[0] == 1 else leaves + (1,)
+    return _Piece(sum(sizes), edges, j, j_star)
+
+
+_PIECES = {
+    "complete": _complete,
+    "path": _path,
+    "cycle": _cycle,
+    "wheel": _wheel,
+    "complete_multipartite": _complete_multipartite,
+}
+
+
+def _connected_pieces(spec: FamilySpec) -> list[_Piece]:
+    """The connected pieces of a spec, in vertex order."""
+    kind, params = spec.kind, spec.params
+    if kind == "disjoint_union":
+        return [piece for part in spec.parts for piece in _connected_pieces(part)]
+    if kind == "forest_union":
+        return [_path(k) for k in params]
+    if kind == "null" or (kind == "complete_multipartite" and len(params) == 1):
+        return [_complete(1)] * params[0]
+    return [_PIECES[kind](*params)]
+
+
 def generate(spec: FamilySpec) -> Graph:
-    """Canonical labelled construction of the family instance.
+    """Canonical labelled construction of the family instance: its
+    connected pieces side by side in contiguous id blocks.
 
     Cycles use rim order 0..n-1; wheels put the hub at vertex 0 with the
     rim 1..n-1 in cycle order; multipartite parts occupy contiguous id
-    blocks; unions concatenate components with id offsets.
+    blocks.
     """
     _validate(spec)
-    kind, params = spec.kind, spec.params
-    if kind == "null":
-        return build_graph(params[0], [])
-    if kind == "path":
-        n = params[0]
-        return build_graph(n, [(i, i + 1) for i in range(n - 1)])
-    if kind == "cycle":
-        n = params[0]
-        return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
-    if kind == "complete":
-        n = params[0]
-        return build_graph(n, itertools.combinations(range(n), 2))
-    if kind == "wheel":
-        n = params[0]
-        rim = n - 1
-        edges = [(0, i) for i in range(1, n)]
-        edges += [(i, i % rim + 1) for i in range(1, n)]
-        return build_graph(n, edges)
-    if kind == "complete_multipartite":
-        blocks: list[list[int]] = []
-        start = 0
-        for size in params:
-            blocks.append(list(range(start, start + size)))
-            start += size
-        edges = [
-            (u, v)
-            for a, b in itertools.combinations(range(len(blocks)), 2)
-            for u in blocks[a]
-            for v in blocks[b]
-        ]
-        return build_graph(start, edges)
-    if kind == "forest_union":
-        return generate(
-            FamilySpec(
-                "disjoint_union",
-                parts=tuple(FamilySpec("path", (k,)) for k in params),
-            )
-        )
-    # disjoint_union
     offset = 0
-    n_total = 0
     edges = []
-    for part in spec.parts:
-        sub = generate(part)
-        edges.extend((u + offset, v + offset) for u, v in sub.edges)
-        offset += sub.n
-        n_total += sub.n
-    return build_graph(n_total, edges)
+    for piece in _connected_pieces(spec):
+        edges.extend((u + offset, v + offset) for u, v in piece.edges)
+        offset += piece.n
+    return build_graph(offset, edges)
 
 
 # ---------------------------------------------------------------------------
 # Closed-form oracles
 # ---------------------------------------------------------------------------
 
-def _connected_pieces(spec: FamilySpec) -> list[FamilySpec]:
-    """Split a spec into connected pieces (vertex order preserved)."""
-    kind, params = spec.kind, spec.params
-    if kind == "null":
-        return [FamilySpec("complete", (1,))] * params[0]
-    if kind == "complete_multipartite" and len(params) == 1:
-        return [FamilySpec("complete", (1,))] * params[0]
-    if kind == "forest_union":
-        return [piece for k in params for piece in _connected_pieces(FamilySpec("path", (k,)))]
-    if kind == "disjoint_union":
-        return [piece for part in spec.parts for piece in _connected_pieces(part)]
-    return [spec]
-
-
-def _piece_j(piece: FamilySpec) -> tuple[int | None, tuple[int, ...] | None]:
-    """(J value, witness assignment) for a connected piece, or (None, None)."""
-    kind, params = piece.kind, piece.params
-    if kind == "complete":
-        n = params[0]
-        return n, tuple(range(1, n + 1))
-    if kind == "path":
-        n = params[0]
-        if n == 1:
-            return 1, (1,)
-        return 2, tuple(i % 2 + 1 for i in range(n))
-    if kind == "cycle":
-        n = params[0]
-        if n % 3 == 0:
-            return 3, tuple(i % 3 + 1 for i in range(n))
-        if n % 2 == 0:
-            return 2, tuple(i % 2 + 1 for i in range(n))
-        return None, None
-    if kind == "wheel":
-        rim = params[0] - 1
-        if rim % 3 == 0:
-            return 4, (4,) + tuple(i % 3 + 1 for i in range(rim))
-        if rim % 2 == 0:
-            return 3, (3,) + tuple(i % 2 + 1 for i in range(rim))
-        return None, None
-    if kind == "complete_multipartite":
-        ell = len(params)
-        assign: list[int] = []
-        for colour, size in enumerate(params, start=1):
-            assign.extend([colour] * size)
-        return ell, tuple(assign)
-    raise ValueError(f"no closed-form J oracle for {kind}")
-
-
-def _piece_j_star(piece: FamilySpec) -> tuple[int | None, tuple[int, ...] | None]:
-    """(J* value, witness) for a connected piece, or (None, None).
-
-    Pendant-free pieces have J* = J; paths settle at 3 from order 3 on and
-    stars reach Delta+1.
-    """
-    kind, params = piece.kind, piece.params
-    if kind == "path":
-        n = params[0]
-        if n <= 2:
-            return n, tuple(range(1, n + 1))
-        return 3, tuple(i % 3 + 1 for i in range(n))
-    if kind == "complete_multipartite":
-        sizes = sorted(params)
-        if len(params) == 2 and sizes[0] == 1 and sizes[1] >= 2:
-            # star: only the centre is internal
-            m = sizes[1]
-            centre_first = params[0] == 1
-            if centre_first:
-                return m + 1, (1,) + tuple(range(2, m + 2))
-            return m + 1, tuple(range(2, m + 2)) + (1,)
-        return _piece_j(piece)
-    # complete, cycle, wheel have no pendant vertices: J* = J
-    return _piece_j(piece)
-
-
-def _assemble(pieces: list[FamilySpec], values_witnesses) -> JResult:
-    """Combine per-piece (value, witness) into a componentwise JResult with
-    a whole-graph witness colouring (each piece keeps colours 1..J_i)."""
-    if any(v is None for v, _ in values_witnesses):
+def _componentwise(witnesses: list[tuple[int, ...] | None]) -> JResult:
+    """The componentwise result whose witness lays the pieces' witnesses
+    side by side (each piece keeps colours 1..J_i)."""
+    if any(w is None for w in witnesses):
         return JResult(admits=False)
-    value = max(v for v, _ in values_witnesses)
-    assignment: list[int] = []
-    for _, w in values_witnesses:
-        assignment.extend(w)
-    return JResult(
-        admits=True,
-        value=value,
-        witness=Colouring(ell=value, assignment=tuple(assignment)),
-    )
+    assignment = tuple(itertools.chain.from_iterable(witnesses))
+    value = max(assignment)
+    return JResult(admits=True, value=value, witness=Colouring(ell=value, assignment=assignment))
 
 
 def oracle_j(spec: FamilySpec) -> JResult:
@@ -249,15 +205,13 @@ def oracle_j(spec: FamilySpec) -> JResult:
     formula-built witness; admits=False when some component admits no
     J-colouring."""
     _validate(spec)
-    pieces = _connected_pieces(spec)
-    return _assemble(pieces, [_piece_j(p) for p in pieces])
+    return _componentwise([piece.j for piece in _connected_pieces(spec)])
 
 
 def oracle_j_star(spec: FamilySpec) -> JResult:
     """Closed-form componentwise J* number, symmetric to :func:`oracle_j`."""
     _validate(spec)
-    pieces = _connected_pieces(spec)
-    return _assemble(pieces, [_piece_j_star(p) for p in pieces])
+    return _componentwise([piece.j_star for piece in _connected_pieces(spec)])
 
 
 # ---------------------------------------------------------------------------

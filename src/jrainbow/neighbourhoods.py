@@ -67,16 +67,12 @@ def yielding_vertices(g: Graph, colouring: Colouring) -> frozenset[int]:
     return frozenset(v for v in range(g.n) if _yields(g, colouring, v))
 
 
-def rainbow_neighbourhood_number(
-    g: Graph, mode: str = "convention", chi: int | None = None
-) -> RainbowReport:
+def rainbow_neighbourhood_number(g: Graph, mode: str = "convention") -> RainbowReport:
     """Count vertices yielding rainbow neighbourhoods under a chromatic
     colouring of ``g``, selected per ``mode`` (see module docstring).
-    ``chi`` is the chromatic number of ``g`` when the caller already
-    holds it; it is computed otherwise.
 
-    The exists modes report the lexicographically first surjective proper
-    chi-colouring reaching the extreme of r.  Permuting colours leaves r
+    The exists modes report the lexicographically first chromatic
+    colouring reaching the extreme of r.  Permuting colours leaves r
     unchanged, and that colouring uses its colours in first-use order, so
     a depth-first branch and bound over those colourings alone finds it.
     It walks them in lexicographic order, cuts only branches that cannot
@@ -84,18 +80,15 @@ def rainbow_neighbourhood_number(
     improvements, so the first colouring met at the extreme is the one
     kept.  It is meant for desk-scale graphs.  In convention mode a
     :class:`~jrainbow.colouring.ConventionInfeasibleError` propagates when
-    the greedy-maximal discipline cannot realise chi classes.
+    the greedy-maximal discipline cannot realise that many classes.
     """
     if g.n == 0:
         raise ValueError("rainbow neighbourhood number of the empty graph is undefined")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if chi is None:
-        chi, _ = chromatic_number(g)
+    chi, _ = chromatic_number(g)
     if mode == "convention":
         colouring = convention_colouring(g, chi)
     else:
         colouring = _extreme_yield_colouring(g, chi, mode == "exists-max")
-        if colouring is None:
-            raise ValueError(f"this graph has no surjective proper colouring on chi={chi} colours")
     return RainbowReport(yielding=yielding_vertices(g, colouring), colouring_used=colouring)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
 import sys
+from functools import cache
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,19 @@ def family(kind: str, *params: int, parts=()) -> Graph:
 
 def union(*specs: FamilySpec) -> Graph:
     return generate(FamilySpec("disjoint_union", parts=tuple(specs)))
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@cache
+def bench_module(name: str):
+    """The module bench/<name>.py, loaded by path so that bench/ stays off
+    sys.path; loaded once per session."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def count_calls(module, name: str, run):

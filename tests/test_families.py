@@ -32,6 +32,10 @@ from oracles import naive_automorphisms, naive_canonical_form
 # every filtered augmentation, before orbit pruning
 GRAPHS_SHA1 = "e9c014c3fe024828b73b899595d9eb409f0c71de"
 TREES_SHA1 = "58df5373eff2e9be1360a3690b218ef442476804"
+# sha1 of repr([(spec, generate(spec), oracle_j(spec), oracle_j_star(spec)),
+# ...]) over _family_grid(), taken while generate and the oracles still
+# wrote each kind's labelling and witnesses separately
+FAMILY_SHA1 = "8ce21ee69fca1e362eb80457fb6318386e24a2fc"
 
 
 def test_generate_cycle_edges():
@@ -134,6 +138,35 @@ def test_oracle_matches_solver_on_core_instances():
         star_got = jstarc_number(g)
         assert star_got.admits == star_expected.admits
         assert star_got.value == star_expected.value
+
+
+def _family_grid() -> list[FamilySpec]:
+    specs = [FamilySpec(kind, (n,)) for n in range(1, 30) for kind in ("null", "path", "complete")]
+    specs += [FamilySpec("cycle", (n,)) for n in range(3, 30)]
+    specs += [FamilySpec("wheel", (n,)) for n in range(4, 30)]
+    specs += [
+        FamilySpec(kind, sizes)
+        for parts in range(1, 5)
+        for sizes in itertools.product(range(1, 6), repeat=parts)
+        for kind in ("complete_multipartite", "forest_union")
+    ]
+    inner = FamilySpec("disjoint_union", parts=(FamilySpec("path", (3,)), FamilySpec("null", (2,))))
+    specs.append(FamilySpec("disjoint_union", parts=(
+        FamilySpec("wheel", (7,)),
+        inner,
+        FamilySpec("complete_multipartite", (1, 4)),
+        FamilySpec("cycle", (5,)),
+        FamilySpec("forest_union", (1, 2, 4)),
+    )))
+    return specs
+
+
+def test_family_outputs_are_pinned():
+    # every labelling and witness the family module builds, over a fixed
+    # grid of 1701 specs
+    outputs = [(s, generate(s), oracle_j(s), oracle_j_star(s)) for s in _family_grid()]
+    assert len(outputs) == 1701
+    assert hashlib.sha1(repr(outputs).encode()).hexdigest() == FAMILY_SHA1
 
 
 # ---------------------------------------------------------------------------

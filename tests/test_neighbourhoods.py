@@ -47,12 +47,14 @@ def test_r_rejects_empty_graph():
         rainbow_neighbourhood_number(build_graph(0, []))
 
 
-@pytest.mark.parametrize("mode", ["exists-max", "exists-min"])
-@pytest.mark.parametrize("chi", [2, 5])
-def test_r_exists_modes_reject_a_chi_with_no_colouring(mode, chi):
-    # K_3 has no proper 2-colouring and no surjective 5-colouring
-    with pytest.raises(ValueError, match=f"chi={chi}"):
-        rainbow_neighbourhood_number(family("complete", 3), mode, chi)
+def test_r_exists_max_computes_chi_itself():
+    # C_4 is bipartite, so under a 2-colouring every vertex sees both
+    # colours; a surjective 3-colouring would leave only two yielding,
+    # so the function takes no chi from its caller
+    c4 = family("cycle", 4)
+    assert rainbow_neighbourhood_number(c4, "exists-max").r == 4
+    with pytest.raises(TypeError):
+        rainbow_neighbourhood_number(c4, "exists-max", 3)
 
 
 def test_r_convention_propagates_infeasibility():
@@ -121,7 +123,7 @@ def test_r_exists_modes_search_effort():
     nodes = {}
     for mode in ("exists-max", "exists-min"):
         rep, nodes[mode] = count_calls(
-            colouring, "branch", lambda: rainbow_neighbourhood_number(c15, mode, 3)
+            colouring, "branch", lambda: rainbow_neighbourhood_number(c15, mode)
         )
         assert rep.r == (15 if mode == "exists-max" else 3)
     assert nodes["exists-max"] <= 382 and nodes["exists-min"] <= 380, nodes

@@ -21,7 +21,7 @@ from jrainbow import (
 from jrainbow import analysis, colouring, connectivity, graphs, jcolouring, neighbourhoods, theorems
 from jrainbow.theorems import THEOREM_MODES
 
-from conftest import family
+from conftest import bench_module, family
 from oracles import (
     naive_all_yield,
     naive_chromatic,
@@ -324,3 +324,16 @@ def test_report_orders_by_theorem_and_mode(corpus_to_5):
     ids = [(v["theorem"], v["mode"]) for v in doc["verdicts"]]
     assert ids == sorted(ids, key=lambda t: (int(t[0][1:]), t[1] or ""))
     assert len(ids) == sum(len(THEOREM_MODES[t]) for t in THEOREM_IDS)
+
+
+def test_every_verdict_matches_the_benchmark_oracle(all_graphs_to_6):
+    # bench/checks.py decides each claim by brute force (every colouring,
+    # every simple path) and shares no solver code with the checkers
+    witness_refutes = bench_module("checks").witness_refutes
+    wrong = [
+        (v.theorem, v.mode, g.edges)
+        for g in all_graphs_to_6
+        for v in check_all([g])
+        if (v.counterexample_count == 1) != witness_refutes(v.theorem, v.mode, g.n, g.edges)
+    ]
+    assert not wrong, wrong
