@@ -57,6 +57,18 @@ def test_r_exists_max_computes_chi_itself():
         rainbow_neighbourhood_number(c4, "exists-max", 3)
 
 
+@pytest.mark.parametrize("mode", ["exists-max", "exists-min"])
+@pytest.mark.parametrize("chi", [2, 5])
+def test_r_exists_modes_reject_a_chi_with_no_colouring(mode, chi):
+    # K_3 has no proper 2-colouring and no surjective 5-colouring; no
+    # caller's chi is taken, and the function finds chi = 3 itself
+    k3 = family("complete", 3)
+    with pytest.raises(TypeError):
+        rainbow_neighbourhood_number(k3, mode, chi)
+    rep = rainbow_neighbourhood_number(k3, mode)
+    assert rep.r == 3 and rep.colouring_used.ell == 3
+
+
 def test_r_convention_propagates_infeasibility():
     double_star = build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
     with pytest.raises(ConventionInfeasibleError):
