@@ -44,10 +44,11 @@ class Colouring:
     assignment: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.ell < 1 and self.assignment:
+        # only the empty graph's colouring, ell = 0 on no vertex, has no colour
+        if self.ell < 1 and (self.assignment or self.ell < 0):
             raise ValueError(f"need at least one colour, got ell={self.ell}")
         used = set(self.assignment)
-        if self.assignment and used != set(range(1, self.ell + 1)):
+        if used != set(range(1, self.ell + 1)):
             raise ValueError(
                 f"assignment must use every colour in 1..{self.ell}, used {sorted(used)}"
             )

@@ -346,21 +346,32 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     return (g.n, _canonical_search(neighbour_masks(g))[0])
 
 
-def _graph_from_form(form: tuple[int, int]) -> Graph:
+def _graph_from_form(form: tuple[int, int], shared: dict) -> Graph:
     """The graph whose edges are the set bits of a canonical form.  Bit
     u*n + v (u < v) rises with (u, v), so the edges come out sorted and
-    every neighbour list ascending, as :func:`build_graph` leaves them."""
+    every neighbour list ascending, as :func:`build_graph` leaves them.
+
+    ``shared`` is one dict per enumerated order (hash-consing: Filliatre
+    & Conchon, "Type-safe modular hash-consing", 2006).  Under the key n
+    it keeps the order's pair table, bit b -> divmod(b, n); under each
+    row it keeps that row.  So the graphs built through one dict hold one
+    tuple object per distinct edge pair and per distinct neighbour row."""
     n, mask = form
+    pairs = shared.get(n)
+    if pairs is None:
+        pairs = shared[n] = [divmod(b, n) for b in range(n * n)]
     edges = []
     adjacency: list[list[int]] = [[] for _ in range(n)]
     while mask:
         low = mask & -mask
-        u, v = divmod(low.bit_length() - 1, n)
-        edges.append((u, v))
+        pair = pairs[low.bit_length() - 1]
+        edges.append(pair)
+        u, v = pair
         adjacency[u].append(v)
         adjacency[v].append(u)
         mask ^= low
-    return Graph(n, tuple(edges), tuple(map(tuple, adjacency)))
+    rows = tuple(shared.setdefault(row, row) for row in map(tuple, adjacency))
+    return Graph(n, tuple(edges), rows)
 
 
 def _orbit(subset: int, generators: list[tuple[int, ...]]) -> set[int]:
@@ -459,10 +470,11 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
     automorphisms, so one subset per orbit suffices.
     """
     if n == 1:
-        return (_graph_from_form((1, 0)),)
+        return (_graph_from_form((1, 0), {}),)
     forms = _augmented_forms(_all_graphs(n - 1), _maximal_subsets)
     ordered = sorted(forms, key=lambda f: (f[1].bit_count(), f[1]))
-    return tuple(_graph_from_form(f) for f in ordered)
+    shared: dict = {}
+    return tuple(_graph_from_form(f, shared) for f in ordered)
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> list[Graph]:
@@ -481,9 +493,10 @@ def _trees(n: int) -> tuple[Graph, ...]:
     """Trees of order n, cached as a tuple so that no caller can change
     what later calls return; see :func:`enumerate_trees`."""
     if n == 1:
-        return (_graph_from_form((1, 0)),)
+        return (_graph_from_form((1, 0), {}),)
     forms = _augmented_forms(_trees(n - 1), lambda t: [1 << v for v in range(t.n)])
-    return tuple(_graph_from_form(f) for f in sorted(forms, key=lambda f: f[1]))
+    shared: dict = {}
+    return tuple(_graph_from_form(f, shared) for f in sorted(forms, key=lambda f: f[1]))
 
 
 def enumerate_trees(n: int) -> list[Graph]:

@@ -41,6 +41,12 @@ def test_colouring_requires_surjectivity():
         Colouring(ell=3, assignment=(1, 1, 2))
     c = Colouring(ell=2, assignment=(1, 2, 1))
     assert c.theta == (2, 1)
+    # no vertex uses any of three colours; a count below zero is no count
+    for ell in (3, -1):
+        with pytest.raises(ValueError):
+            Colouring(ell=ell, assignment=())
+    # the empty graph's colouring uses exactly its zero colours
+    assert Colouring(ell=0, assignment=()).theta == ()
 
 
 def test_is_proper_examples():

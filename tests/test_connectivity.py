@@ -407,6 +407,23 @@ def test_exists_certificates_agree_with_the_candidate_search():
             assert later.exists_connected == expected, comp.edges
 
 
+def test_the_convention_verdict_depends_on_the_labelling():
+    # the corpus's P_4 is 0-3-2-1: the lexicographically first maximum
+    # independent set {0, 1} leaves the edge 2-3, so no convention
+    # colouring exists; as 0-3-1-2 the same set leaves {2, 3} independent
+    corpus_p4 = build_graph(4, [(0, 3), (1, 2), (2, 3)])
+    assert corpus_p4 in enumerate_graphs(4)
+    with pytest.raises(ConventionInfeasibleError, match=r"edge \(2, 3\)"):
+        is_chi_rainbow_connected(corpus_p4, "convention")
+    relabelled = build_graph(4, [(0, 3), (1, 2), (1, 3)])
+    report = is_chi_rainbow_connected(relabelled, "convention")
+    assert report.connected
+    assert report.colourings == (Colouring(2, (1, 1, 2, 2)),)
+    # the exists verdict does not depend on the labels
+    assert is_chi_rainbow_connected(corpus_p4, "exists").connected
+    assert is_chi_rainbow_connected(relabelled, "exists").connected
+
+
 def test_convention_infeasibility_wins_over_a_bridge_refutation():
     infeasible = next(
         g

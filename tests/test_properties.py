@@ -2,8 +2,10 @@
 J and J* solvers against independent oracles, J and the rainbow
 neighbourhood number r under relabelling, and the order of the r modes;
 with up to 8 vertices, the rainbow-connectivity verdict of the chromatic
-witness against a scan of every simple path.  Then the file formats:
-write-parse round trips, and both parsers fuzzed on arbitrary text.
+witness against a scan of every simple path, and the ``exists`` rainbow
+verdicts of any graph, disconnected ones included, under relabelling.
+Then the file formats: write-parse round trips, and both parsers fuzzed
+on arbitrary text.
 
 The ``derandomize`` profile draws the same examples on every run, so a
 failure reproduces and the suite's time does not vary."""
@@ -20,9 +22,12 @@ from jrainbow import (
     ConventionInfeasibleError,
     FormatError,
     Graph,
+    NotJColourable,
     build_graph,
     chromatic_number,
     degree_profile,
+    is_chi_rainbow_connected,
+    is_jc_rainbow_connected,
     j_number,
     j_star_number,
     parse_dimacs,
@@ -113,6 +118,26 @@ def test_r_exists_modes_are_invariant_under_relabelling(g, rng):
         assert rainbow_neighbourhood_number(g, mode).r == rainbow_neighbourhood_number(h, mode).r, (
             g.edges, mode,
         )
+
+
+def _exists_verdicts(g: Graph) -> tuple:
+    """The J^c and chi rainbow verdicts of ``g`` in mode ``exists``, or the
+    type of the error that says a predicate is undefined on ``g``: no
+    J-colouring, or the empty graph."""
+    verdicts = []
+    for predicate in (is_jc_rainbow_connected, is_chi_rainbow_connected):
+        try:
+            verdicts.append(predicate(g, "exists").connected)
+        except (NotJColourable, ValueError) as error:
+            verdicts.append(type(error))
+    return tuple(verdicts)
+
+
+@given(graphs(max_n=8), st.randoms(use_true_random=False))
+def test_exists_rainbow_verdicts_are_invariant_under_relabelling(g, rng):
+    # the convention verdicts are not: they read the canonical labelling
+    # (tests/test_connectivity.py pins P_4 under two labellings)
+    assert _exists_verdicts(g) == _exists_verdicts(relabelled(g, rng)), g.edges
 
 
 def random_colouring(g: Graph, rng) -> Colouring:
