@@ -189,6 +189,9 @@ def _cmd_family(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     if not 1 <= args.max_n <= 8:
         raise ValueError(f"--max-n must be in 1..8, got {args.max_n}")
+    if args.json and args.json != "-" and not Path(args.json).parent.is_dir():
+        # fail before the enumeration and the checks, not on the write
+        raise ValueError(f"--json: no directory {str(Path(args.json).parent)!r}")
     if args.theorems == "all":
         theorems = list(THEOREM_IDS)
     else:

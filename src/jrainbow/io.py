@@ -125,10 +125,17 @@ def write_dimacs(g: Graph) -> str:
 
 
 def read_graph(path: str | Path, fmt: str = "auto") -> Graph:
-    """Read a graph file; fmt is 'edgelist', 'dimacs' or 'auto' (by the
-    .col suffix)."""
+    """Read a UTF-8 graph file; fmt is 'edgelist', 'dimacs' or 'auto' (by
+    the .col suffix)."""
     p = Path(path)
-    text = p.read_text()
+    data = p.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            data.count(b"\n", 0, exc.start) + 1,
+            f"not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}",
+        ) from None
     if fmt == "auto":
         fmt = "dimacs" if p.suffix.lower() == ".col" else "edgelist"
     if fmt == "edgelist":

@@ -12,6 +12,7 @@ from jrainbow import (
     write_dimacs,
     write_edgelist,
 )
+from jrainbow import cli
 from jrainbow.cli import main
 from jrainbow.io import MAX_VERTICES
 
@@ -199,6 +200,16 @@ def test_cli_malformed_file_exit_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["analyze"], ["rainbow", "--all-pairs"]])
+def test_cli_file_that_is_not_utf8_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "utf16.edges"
+    path.write_bytes(b"2 1\n\xff\xfe0 1\n")
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: line 2: not UTF-8: byte 0xff at offset 4\n"
+
+
 def test_cli_rainbow_pair(tmp_path, capsys):
     path = tmp_path / "c6.edges"
     path.write_text(write_edgelist(family("cycle", 6)))
@@ -296,6 +307,21 @@ def test_cli_check_rejects_an_empty_claim_selection_exit_2(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: no claim selected\n"
+
+
+def test_cli_check_rejects_a_json_path_without_directory_before_checking(
+    tmp_path, capsys, monkeypatch
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the corpus was built or checked")
+
+    monkeypatch.setattr(cli, "enumerate_graphs", unreachable)
+    monkeypatch.setattr(cli, "check_all", unreachable)
+    target = tmp_path / "no" / "such" / "x.json"
+    assert main(["check", "--max-n", "8", "--json", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --json: no directory {str(target.parent)!r}\n"
 
 
 def test_cli_check_runs_a_repeated_claim_once(capsys):

@@ -1,5 +1,6 @@
 import json
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -152,6 +153,44 @@ def test_shared_facts_give_the_verdicts_of_fresh_checks(corpus_to_5):
         for mode in THEOREM_MODES[tid]
     ]
     assert [v.to_json_dict() for v in shared] == [v.to_json_dict() for v in fresh]
+
+
+@pytest.mark.parametrize("run", [check_all, lambda corpus: [check("T1", corpus)]],
+                         ids=["check_all", "check-T1"])
+def test_live_graph_records_never_exceed_one_block(run, monkeypatch):
+    # each block's records are read by every claim and then dropped, so
+    # while any claim runs, at most one block of graph records is alive
+    corpus = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    assert len(corpus) == 1252
+    live = weakref.WeakSet()
+
+    class Tracked(analysis.GraphFacts):
+        def __init__(self, *args):
+            super().__init__(*args)
+            live.add(self)
+
+    sizes = []
+    for tid, checker in theorems._CHECKERS.items():
+        def sizing(facts, mode, _checker=checker):
+            sizes.append(len(live))
+            return _checker(facts, mode)
+
+        monkeypatch.setitem(theorems._CHECKERS, tid, sizing)
+    monkeypatch.setattr(theorems, "GraphFacts", Tracked)
+    verdicts = run(corpus)
+    assert len(sizes) == len(corpus) * len(verdicts)
+    assert max(sizes) <= theorems._BLOCK
+
+
+def test_prebuilt_records_across_a_block_boundary_give_the_plain_verdicts(all_graphs_to_6):
+    # the 208 graphs span several blocks; every other entry, on both sides of
+    # each boundary, is a record built on its own table
+    assert len(all_graphs_to_6) > 2 * theorems._BLOCK
+    mixed = [analysis.GraphFacts(g) if i % 2 else g for i, g in enumerate(all_graphs_to_6)]
+    for tid in THEOREM_IDS:
+        for mode in THEOREM_MODES[tid]:
+            plain = check(tid, all_graphs_to_6, corpus="x", mode=mode)
+            assert check(tid, mixed, corpus="x", mode=mode) == plain
 
 
 # the per-component solvers whose calls check_all makes through a record,
