@@ -12,22 +12,22 @@ abandoned when a flood fill through the vertices off the path no longer
 reaches the target or cannot collect the colours still missing; that
 test may overestimate what one simple path can collect, so it never
 prunes a viable branch.  A (end vertex, on-path mask) state that fails
-is remembered as dead for its target, since nothing else decides whether
-it extends.  Pruning and memo only skip dead branches, so the first path
-found is the first rainbow path in depth-first order.  Worst-case
-exponential; desk scale.
+is remembered as dead for the rest of the pair's search, since nothing
+else decides whether it extends.  Pruning and memo only skip dead
+branches, so the first path found is the first rainbow path in
+depth-first order.  Worst-case exponential; desk scale.
 
 Searching a component for a rainbow-connecting colouring needs only a
 verdict per candidate, and that search runs per source, not per pair:
 one depth-first search from source u, over the same states and cut by
 the same flood fill, marks every vertex v > u that a rainbow path
-reaches, with one memo for all of them.  A component with a bridge has
-no rainbow-connecting colouring with three or more colours (the bridge
-is the only path between its endpoints and shows two), so it needs no
-path search.  Otherwise each candidate retries first the source that
-failed the previous one, and is dropped at its first failing source.
-Only reported colourings are scanned pair by pair for witnesses, by the
-per-pair search, which also fixes which path each pair reports.
+reaches, with one memo for all of them.  The sources run in ascending
+order, and a candidate is dropped at its first failing source.  A
+component with a bridge has no rainbow-connecting colouring with three
+or more colours (the bridge is the only path between its endpoints and
+shows two), so it needs no path search.  Only reported colourings are
+scanned pair by pair for witnesses, by the per-pair search, which also
+fixes which path each pair reports.
 
 The predicates read each component's colouring off its
 ``analysis.ComponentFacts`` record, so equal components share one solve.
@@ -107,8 +107,8 @@ def rainbow_path_finder(
     validated, or None.  Vertex and colour sets are int bitmasks.  A state
     is the current end w of the path and the mask of path vertices;
     whether it extends to a rainbow path ending at v depends on nothing
-    else, so states found dead are kept per target and shared by every
-    pair the finder is asked about."""
+    else, so a state found dead is not entered again in that pair's
+    search."""
     if not is_proper(g, colouring):
         raise ValueError("colouring is not proper on this graph")
     masks = neighbour_masks(g)
@@ -116,11 +116,10 @@ def rainbow_path_finder(
     n = g.n
     bits = [1 << (c - 1) for c in colouring.assignment]
     full = (1 << colouring.ell) - 1
-    dead_by_target: dict[int, set[int]] = {}
 
     def find(u: int, v: int) -> RainbowWitness | None:
         target = 1 << v
-        dead = dead_by_target.setdefault(v, set())
+        dead: set[int] = set()
         path = [u]
 
         def extend(w: int, on_path: int, seen: int) -> bool:
@@ -172,19 +171,21 @@ def rainbow_path_exists(
     return rainbow_path_finder(g, colouring)(u, v)
 
 
-def _source_connector(masks: Sequence[int], colouring: Colouring) -> Callable[[int], bool]:
-    """The verdict search of one component, given its neighbour masks,
-    under ``colouring``: a function of a source u that is True when u is
-    joined by a rainbow path to every vertex v > u.
+def _connects_every_pair(masks: Sequence[int], colouring: Colouring) -> bool:
+    """The verdict search of one component, given its neighbour masks:
+    True when ``colouring`` joins every pair of distinct vertices by a
+    rainbow path.
 
-    One depth-first search per source runs over states (end w, on-path
-    mask) and keeps the mask of targets still unreached.  On entering a
-    state it marks every unreached target next to w, off the path, whose
-    colour completes the colour set.  The flood fill from w through the
-    vertices off the path cuts a state that reaches no unreached target
-    or misses a colour.  The unreached mask only shrinks, so a state cut
-    or fully explored stays dead for the rest of the source's search, and
-    one memo serves every target of the source."""
+    The sources u run in ascending order, each with one depth-first
+    search over states (end w, on-path mask) that keeps the mask of
+    targets v > u still unreached, and the search stops at the first
+    source that misses one.  On entering a state it marks every
+    unreached target next to w, off the path, whose colour completes the
+    colour set.  The flood fill from w through the vertices off the path
+    cuts a state that reaches no unreached target or misses a colour.
+    The unreached mask only shrinks, so a state cut or fully explored
+    stays dead for the rest of the source's search, and one memo serves
+    every target of the source."""
     n = len(masks)
     bits = [1 << (c - 1) for c in colouring.assignment]
     full = (1 << colouring.ell) - 1
@@ -192,35 +193,36 @@ def _source_connector(masks: Sequence[int], colouring: Colouring) -> Callable[[i
     completing = {0: (1 << n) - 1}
     for x, bit in enumerate(bits):
         completing[bit] = completing.get(bit, 0) | 1 << x
+    unreached = 0
+    dead: set[int] = set()
 
-    def connects(u: int) -> bool:
-        unreached = ((1 << n) - 1) & (-1 << (u + 1))
-        dead: set[int] = set()
-
-        def extend(w: int, on_path: int, seen: int) -> bool:
-            nonlocal unreached
-            state = on_path * n + w
-            if state in dead:
-                return False
-            free = ~on_path
-            unreached &= ~(masks[w] & free & completing.get(full & ~seen, 0))
-            if not unreached:
-                return True
-            reach, colours = _flood(masks, bits, w, free)
-            if reach & unreached and seen | colours == full:
-                rest = masks[w] & free
-                while rest:
-                    low = rest & -rest
-                    x = low.bit_length() - 1
-                    if extend(x, on_path | low, seen | bits[x]):
-                        return True
-                    rest ^= low
-            dead.add(state)
+    def extend(w: int, on_path: int, seen: int) -> bool:
+        nonlocal unreached
+        state = on_path * n + w
+        if state in dead:
             return False
+        free = ~on_path
+        unreached &= ~(masks[w] & free & completing.get(full & ~seen, 0))
+        if not unreached:
+            return True
+        reach, colours = _flood(masks, bits, w, free)
+        if reach & unreached and seen | colours == full:
+            rest = masks[w] & free
+            while rest:
+                low = rest & -rest
+                x = low.bit_length() - 1
+                if extend(x, on_path | low, seen | bits[x]):
+                    return True
+                rest ^= low
+        dead.add(state)
+        return False
 
-        return extend(u, 1 << u, bits[u])
-
-    return connects
+    for u in range(n - 1):
+        unreached = ((1 << n) - 1) & (-1 << (u + 1))
+        dead.clear()
+        if not extend(u, 1 << u, bits[u]):
+            return False
+    return True
 
 
 def rainbow_connecting_colouring(
@@ -233,25 +235,13 @@ def rainbow_connecting_colouring(
 
     With ell >= 3 a bridge refutes every candidate unseen: its endpoints
     are joined by no path but the bridge itself.  Otherwise each
-    candidate is searched source by source, first retrying the source
-    that failed the one before it, and is dropped at its first failing
-    source.
+    candidate gets its own verdict search, which drops it at its first
+    failing source.
     """
     if ell >= 3 and has_bridge(comp):
         return None
     masks = neighbour_masks(comp)
-    failing = None
-    for col in candidates:
-        connects = _source_connector(masks, col)
-        if failing is not None and not connects(failing):
-            continue
-        for u in range(comp.n - 1):
-            if u != failing and not connects(u):
-                failing = u
-                break
-        else:
-            return col
-    return None
+    return next((col for col in candidates if _connects_every_pair(masks, col)), None)
 
 
 def min_rainbow_path_lengths(

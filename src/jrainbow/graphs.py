@@ -10,7 +10,6 @@ the analysis operations that need at least one vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterable, Sequence
 
 
@@ -170,13 +169,6 @@ class ComponentDecomposition:
         return tuple(vmap)
 
 
-@cache
-def _all_vertices(n: int) -> tuple[int, ...]:
-    """The vertex tuple 0..n-1, one object per order, so the decompositions
-    of a corpus's connected graphs share it."""
-    return tuple(range(n))
-
-
 def decompose(g: Graph) -> ComponentDecomposition:
     """Split ``g`` into connected components, deterministically ordered."""
     unvisited = set(range(g.n))
@@ -187,7 +179,6 @@ def decompose(g: Graph) -> ComponentDecomposition:
         groups.append(tuple(sorted(seen)))
     if len(groups) == 1:
         comps: tuple[Graph, ...] = (g,)
-        groups = [_all_vertices(g.n)]
     else:
         comps = tuple(induced_subgraph(g, grp)[0] for grp in groups)
     return ComponentDecomposition(parent=g, components=comps, vertices=tuple(groups))

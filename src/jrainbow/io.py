@@ -5,13 +5,15 @@ endpoints.  DIMACS: "c" comment lines, one "p edge n m" header, then
 "e u v" lines with 1-based endpoints (shifted to 0-based internally and
 shifted back on export).  Both parsers reject a header declaring more
 than MAX_VERTICES vertices, before allocating anything for them: the
-exact searches are exponential, so such inputs could never finish.
+exact searches are exponential, so such inputs could never finish.  They
+walk the text line by line and keep each distinct edge once.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .colouring import Colouring
 from .graphs import Graph, build_graph
@@ -28,12 +30,24 @@ class FormatError(ValueError):
         self.line = line
 
 
+# a line as str.splitlines cuts it, with its break (the last may have none)
+_BREAKS = "\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
+_LINE = re.compile(f"([^{_BREAKS}]*)(?:\r\n|[{_BREAKS}])?")
+
+
+def _lines(text: str) -> Iterator[str]:
+    """``text.splitlines()``, one line at a time; the one empty match, at
+    the end of the text, is no line."""
+    return (match[1] for match in _LINE.finditer(text) if match[0])
+
+
 def parse_edgelist(text: str) -> Graph:
     """Parse the edge-list format.  Blank lines and '#' comments are
     ignored."""
     n = m = None
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    edges: set[tuple[int, int]] = set()
+    count = 0  # edge lines
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -58,14 +72,12 @@ def parse_edgelist(text: str) -> Graph:
             raise FormatError(lineno, f"edge endpoints must be integers, got {raw.strip()!r}")
         if u == v or not (0 <= u < n and 0 <= v < n):
             raise FormatError(lineno, f"invalid edge ({u}, {v}) for n={n}")
-        edges.append((u, v))
+        count += 1
+        edges.add((u, v) if u < v else (v, u))
     if n is None:
         raise FormatError(1, "missing 'n m' header")
-    if len(edges) != m:
-        raise FormatError(
-            len(text.splitlines()) or 1,
-            f"header declared {m} edges but file contains {len(edges)}",
-        )
+    if count != m:
+        raise FormatError(lineno, f"header declared {m} edges but file contains {count}")
     return build_graph(n, edges)
 
 
@@ -80,8 +92,8 @@ def parse_dimacs(text: str) -> Graph:
     lines).  The declared edge count is not enforced: real instances often
     misreport it and duplicates collapse anyway."""
     n = None
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    edges: set[tuple[int, int]] = set()
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -110,7 +122,7 @@ def parse_dimacs(text: str) -> Graph:
                 raise FormatError(lineno, f"edge endpoints must be integers, got {line!r}")
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise FormatError(lineno, f"invalid edge ({u + 1}, {v + 1}) for n={n}")
-            edges.append((u, v))
+            edges.add((u, v) if u < v else (v, u))
         else:
             raise FormatError(lineno, f"unrecognised line {line!r}")
     if n is None:

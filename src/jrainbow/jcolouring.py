@@ -78,6 +78,10 @@ class JResult:
         }
 
 
+# shared by every solve without a colouring, since the caches keep each result
+_NO_COLOURING = JResult(admits=False)
+
+
 @dataclass(frozen=True)
 class ComponentaResult:
     """Componentwise solve: per-component results plus the maximum."""
@@ -161,7 +165,7 @@ def _solve_max(g: Graph, covered: frozenset[int], cap: int) -> JResult:
     for k in range(min(cap, g.n), clique_number(g) - 1, -1):
         for witness in _search_colourings(g, k, covered=covered, canonical=True):
             return JResult(admits=True, value=k, witness=witness)
-    return JResult(admits=False)
+    return _NO_COLOURING
 
 
 def _maximal_independent_sets(
@@ -264,7 +268,7 @@ def j_number(g: Graph) -> JResult:
     _require_connected(g, "j_number")
     witness = _largest_mis_partition(g)
     if witness is None:
-        return JResult(admits=False)
+        return _NO_COLOURING
     return JResult(admits=True, value=witness.ell, witness=witness)
 
 

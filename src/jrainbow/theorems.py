@@ -324,14 +324,14 @@ _BLOCK = 32
 
 def check(
     theorem_id: str,
-    graphs: Sequence[Graph | GraphFacts],
+    graphs: Sequence[Graph],
     corpus: str = "",
     mode: str | None = None,
 ) -> TheoremVerdict:
     """Evaluate one claim over a graph corpus, graph by graph in corpus
-    order.  Each entry is a graph or its facts record; the call keeps one
-    component record per distinct component, and builds the graph records
-    it needs one block of the corpus at a time."""
+    order.  The call keeps one component record per distinct component,
+    and builds the graph records it needs one block of the corpus at a
+    time."""
     if theorem_id not in _CHECKERS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     modes = THEOREM_MODES[theorem_id]
@@ -362,10 +362,10 @@ def check_all(
     return _run(graphs, corpus, [(tid, mode) for tid in ordered for mode in THEOREM_MODES[tid]])
 
 
-def _run(graphs: Iterable[Graph | GraphFacts], corpus: str, claims: list) -> list[TheoremVerdict]:
+def _run(graphs: Iterable[Graph], corpus: str, claims: list) -> list[TheoremVerdict]:
     """The corpus loop of :func:`check` and :func:`check_all`: one verdict
     per (claim, mode) of ``claims``, each evaluated graph by graph in
-    corpus order.  The corpus is walked in blocks of ``_BLOCK`` entries;
+    corpus order.  The corpus is walked in blocks of ``_BLOCK`` graphs;
     the records built for a block share the call's component table, and
     every claim reads them before the next block is built."""
     table: dict = {}
@@ -373,9 +373,7 @@ def _run(graphs: Iterable[Graph | GraphFacts], corpus: str, claims: list) -> lis
     skipped = dict.fromkeys(claims, 0)
     fails: dict[tuple[str, str | None], list[tuple[Graph, str, dict]]] = {c: [] for c in claims}
     entries = iter(graphs)
-    while block := [
-        e if isinstance(e, GraphFacts) else GraphFacts(e, table) for e in islice(entries, _BLOCK)
-    ]:
+    while block := [GraphFacts(g, table) for g in islice(entries, _BLOCK)]:
         total += len(block)
         for claim in claims:
             checker, mode = _CHECKERS[claim[0]], claim[1]

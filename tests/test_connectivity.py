@@ -511,3 +511,19 @@ def test_min_rainbow_path_lengths_search_effort(connected_to_6):
         lambda: [min_rainbow_path_lengths(g, col) for g, col in inputs],
     )
     assert (len(inputs), calls) == (65, 3139)
+
+
+
+def test_rainbow_verdict_search_effort(connected_to_6):
+    # states the verdict search enters for the three rainbow facts of every
+    # connected graph with n <= 6; a weaker cut or memo raises the count,
+    # and a search that reuses what earlier sources found lowers it
+    def verdicts():
+        return [
+            (f.jc_rainbow_colouring is not None, f.convention_connected, f.exists_connected)
+            for f in map(ComponentFacts, connected_to_6)
+        ]
+
+    found, calls = count_calls(connectivity, "extend", verdicts)
+    assert [sum(v[i] is True for v in found) for i in range(3)] == [64, 72, 94]
+    assert (len(found), calls) == (143, 3732)

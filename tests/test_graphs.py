@@ -63,17 +63,6 @@ def test_decompose_connected_graph_is_its_own_component(all_graphs_to_5):
             assert dec.vertex_map == tuple((0, v) for v in range(g.n))
 
 
-def test_connected_graphs_of_one_order_share_their_vertex_tuple(all_graphs_to_5):
-    # a corpus holds one decomposition per graph, so one vertex tuple per
-    # order instead of one per connected graph
-    first: dict[int, tuple[int, ...]] = {}
-    for g in all_graphs_to_5 + [family("path", 5), family("cycle", 5)]:
-        if is_connected(g):
-            vertices = decompose(g).vertices[0]
-            assert vertices is first.setdefault(g.n, vertices), g
-    assert len(first) == 5
-
-
 def test_decompose_null_graph():
     dec = decompose(build_graph(4, []))
     assert len(dec) == 4

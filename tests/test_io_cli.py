@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +14,10 @@ from jrainbow import (
     write_dimacs,
     write_edgelist,
 )
-from jrainbow import cli
+from jrainbow import cli, enumerate_graphs
 from jrainbow.cli import main
 from jrainbow.io import MAX_VERTICES
+from jrainbow.theorems import check_all, report
 
 from conftest import family
 from oracles import naive_components, naive_rainbow_path_exists
@@ -88,6 +91,24 @@ def test_parsers_reject_vertex_counts_above_the_limit():
             parse(text)
         assert err.value.line == text.count("\n")
         assert f"exceeds the limit of {MAX_VERTICES}" in str(err.value)
+
+
+@pytest.mark.parametrize("parse, header, line", [
+    (parse_edgelist, "2 100000\n", "0 1\n"),
+    (parse_dimacs, "p edge 2 1\n", "e 1 2\n"),
+], ids=["edgelist", "dimacs"])
+def test_parsers_hold_less_than_their_text(parse, header, line):
+    # a long file of one repeated edge: the parser walks its lines one at a
+    # time and keeps the edge once, so it never holds a list of the lines
+    text = header + line * 100_000
+    tracemalloc.start()
+    try:
+        g = parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edges == ((0, 1),)
+    assert peak < len(text)
 
 
 @pytest.mark.parametrize("name, text", [
@@ -190,6 +211,20 @@ def test_cli_analyze_dimacs(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["graph"]["n"] == 3 and doc["graph"]["m"] == 3
+
+
+@pytest.mark.parametrize("name, fmt, text", [
+    ("k3.col", "edgelist", "3 3\n0 1\n1 2\n0 2\n"),
+    ("k3.edges", "dimacs", "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"),
+])
+def test_cli_analyze_format_overrides_the_suffix(tmp_path, capsys, name, fmt, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["analyze", str(path), "--json", "-"]) == 2
+    assert "line 1" in capsys.readouterr().err
+    assert main(["analyze", str(path), "--format", fmt, "--json", "-"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["graph"] == {"n": 3, "m": 3, "components": 1}
 
 
 def test_cli_malformed_file_exit_2(tmp_path, capsys):
@@ -322,6 +357,16 @@ def test_cli_check_rejects_a_json_path_without_directory_before_checking(
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: --json: no directory {str(target.parent)!r}\n"
+
+
+def test_cli_check_text_prints_the_table_and_writes_the_json(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    assert main(["check", "--max-n", "5", "--text", "--json", str(target)]) == 0
+    corpus = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    verdicts = check_all(corpus, corpus="graphs n<=5")
+    assert capsys.readouterr().out == report(verdicts, "text")
+    golden = Path(__file__).parent / "goldens" / "check_max_n5_all.json"
+    assert target.read_bytes() == golden.read_bytes()
 
 
 def test_cli_check_runs_a_repeated_claim_once(capsys):

@@ -30,6 +30,21 @@ def test_jresult_fields_must_agree():
         JResult(admits=False, value=3, witness=None)
 
 
+def test_solves_without_a_colouring_share_one_result():
+    # two graphs without a J-colouring, then two with pendants and no
+    # J*-colouring, the latter found by the downward J* search
+    no_j = [build_graph(4, [(0, 3), (1, 2), (1, 3), (2, 3)]), family("cycle", 5)]
+    no_j_star = [
+        build_graph(6, [(0, 5), (1, 2), (1, 4), (2, 3), (3, 5), (4, 5)]),
+        build_graph(6, [(0, 3), (1, 2), (1, 5), (2, 4), (3, 4), (3, 5), (4, 5)]),
+    ]
+    assert all(degree_profile(g).pendants for g in no_j_star)
+    first, second = (j_number(g) for g in no_j)
+    assert first == JResult(admits=False) and first is second
+    first_star, second_star = (j_star_number(g) for g in no_j_star)
+    assert first_star is second_star is first
+
+
 def test_is_j_colouring_examples():
     c6 = family("cycle", 6)
     assert is_j_colouring(c6, Colouring(3, (1, 2, 3, 1, 2, 3)))

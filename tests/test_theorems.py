@@ -182,17 +182,6 @@ def test_live_graph_records_never_exceed_one_block(run, monkeypatch):
     assert max(sizes) <= theorems._BLOCK
 
 
-def test_prebuilt_records_across_a_block_boundary_give_the_plain_verdicts(all_graphs_to_6):
-    # the 208 graphs span several blocks; every other entry, on both sides of
-    # each boundary, is a record built on its own table
-    assert len(all_graphs_to_6) > 2 * theorems._BLOCK
-    mixed = [analysis.GraphFacts(g) if i % 2 else g for i, g in enumerate(all_graphs_to_6)]
-    for tid in THEOREM_IDS:
-        for mode in THEOREM_MODES[tid]:
-            plain = check(tid, all_graphs_to_6, corpus="x", mode=mode)
-            assert check(tid, mixed, corpus="x", mode=mode) == plain
-
-
 # the per-component solvers whose calls check_all makes through a record,
 # each with the module that defines it
 COUNTED = {
