@@ -83,7 +83,7 @@ def is_proper(g: Graph, colouring: Colouring) -> bool:
             f"colouring covers {colouring.n} vertices, graph has {g.n}"
         )
     a = colouring.assignment
-    return all(a[u] != a[v] for u, v in g.edges)
+    return all(a[v] != c for c, row in zip(a, g.adjacency) for v in row)
 
 
 def inverse_colouring(colouring: Colouring) -> Colouring:

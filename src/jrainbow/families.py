@@ -348,30 +348,22 @@ def canonical_form(g: Graph) -> tuple[int, int]:
 
 def _graph_from_form(form: tuple[int, int], shared: dict) -> Graph:
     """The graph whose edges are the set bits of a canonical form.  Bit
-    u*n + v (u < v) rises with (u, v), so the edges come out sorted and
-    every neighbour list ascending, as :func:`build_graph` leaves them.
+    u*n + v (u < v) rises with (u, v), so every neighbour row comes out
+    ascending, as :func:`build_graph` leaves it.
 
     ``shared`` is one dict per enumerated order (hash-consing: Filliatre
-    & Conchon, "Type-safe modular hash-consing", 2006).  Under the key n
-    it keeps the order's pair table, bit b -> divmod(b, n); under each
-    row it keeps that row.  So the graphs built through one dict hold one
-    tuple object per distinct edge pair and per distinct neighbour row."""
+    & Conchon, "Type-safe modular hash-consing", 2006) that maps each row
+    to itself.  So the graphs built through one dict hold one tuple object
+    per distinct neighbour row."""
     n, mask = form
-    pairs = shared.get(n)
-    if pairs is None:
-        pairs = shared[n] = [divmod(b, n) for b in range(n * n)]
-    edges = []
     adjacency: list[list[int]] = [[] for _ in range(n)]
     while mask:
         low = mask & -mask
-        pair = pairs[low.bit_length() - 1]
-        edges.append(pair)
-        u, v = pair
+        u, v = divmod(low.bit_length() - 1, n)
         adjacency[u].append(v)
         adjacency[v].append(u)
         mask ^= low
-    rows = tuple(shared.setdefault(row, row) for row in map(tuple, adjacency))
-    return Graph(n, tuple(edges), rows)
+    return Graph(n, tuple(shared.setdefault(row, row) for row in map(tuple, adjacency)))
 
 
 def _orbit(subset: int, generators: list[tuple[int, ...]]) -> set[int]:

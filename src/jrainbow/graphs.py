@@ -1,10 +1,10 @@
 """Finite simple undirected graphs over contiguous vertex ids.
 
-Graphs are immutable after construction and hashable, so every algorithm
-in this package is a pure function and results may be cached or computed
-concurrently without coordination.  Disconnected, edgeless and trivial
-graphs are all first-class; only the empty graph (n = 0) is rejected by
-the analysis operations that need at least one vertex.
+A graph stores its neighbour rows only.  Graphs are immutable and
+hashable, so every algorithm in this package is a pure function and
+results may be cached or computed concurrently without coordination.
+Disconnected, edgeless and trivial graphs are all first-class; only the
+empty graph (n = 0) is rejected by the operations that need a vertex.
 """
 
 from __future__ import annotations
@@ -13,23 +13,25 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """A simple undirected graph on vertices 0..n-1.
 
-    ``edges`` is a sorted tuple of (u, v) pairs with u < v and no
-    duplicates; ``adjacency`` holds a sorted neighbour tuple per vertex.
-    Use :func:`build_graph` instead of the raw constructor so the
-    invariants are validated.
+    ``adjacency`` holds an ascending neighbour tuple per vertex; ``edges``
+    (sorted (u, v) pairs, u < v) and ``m`` are read off it.  Build with
+    :func:`build_graph`, which validates, not the raw constructor.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...]
 
     @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple((u, v) for u, row in enumerate(self.adjacency) for v in row if u < v)
+
+    @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adjacency)) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -50,44 +52,41 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
     seen: set[tuple[int, int]] = set()
-    for e in edges:
-        u, v = e
+    for u, v in edges:
         if u == v:
             raise ValueError(f"self-loop at vertex {u} is not allowed in a simple graph")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
         seen.add((u, v) if u < v else (v, u))
-    edge_tuple = tuple(sorted(seen))
     adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edge_tuple:
+    for u, v in seen:
         adj[u].append(v)
         adj[v].append(u)
-    adjacency = tuple(tuple(sorted(a)) for a in adj)
-    return Graph(n=n, edges=edge_tuple, adjacency=adjacency)
+    return Graph(n, tuple(tuple(sorted(row)) for row in adj))
 
 
 def neighbour_masks(g: Graph) -> list[int]:
-    """Neighbours of each vertex as an int bitmask (bit u for vertex u).
-    Built afresh on every call, so nothing stays cached on each graph of a
+    """Each neighbour row as an int bitmask (bit u for vertex u).  Built
+    afresh on every call, so nothing stays cached on each graph of a
     corpus; the bitmask searches take it once per search."""
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
+    masks = []
+    for row in g.adjacency:
+        mask = 0
+        for v in row:
+            mask |= 1 << v
+        masks.append(mask)
     return masks
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph induced on ``vertices``, relabelled 0..k-1 in ascending
-    parent order.  Returns the subgraph and the parent-id tuple."""
+    """Subgraph induced on ``vertices``, its parent rows mapped to ids
+    0..k-1 in ascending parent order, and the parent-id tuple."""
     verts = tuple(sorted(set(vertices)))
+    if verts and not 0 <= verts[0] <= verts[-1] < g.n:
+        raise ValueError(f"vertex {verts[0] if verts[0] < 0 else verts[-1]} outside 0..{g.n - 1}")
     index = {v: i for i, v in enumerate(verts)}
-    edges = [
-        (index[u], index[v])
-        for u, v in g.edges
-        if u in index and v in index
-    ]
-    return build_graph(len(verts), edges), verts
+    rows = tuple(tuple(index[u] for u in g.adjacency[v] if u in index) for v in verts)
+    return Graph(len(verts), rows), verts
 
 
 def _flood(g: Graph, start: int) -> set[int]:

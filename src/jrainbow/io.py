@@ -20,6 +20,7 @@ from .graphs import Graph, build_graph
 
 
 MAX_VERTICES = 64
+MAX_FILE_BYTES = 1 << 20  # a 64-vertex graph takes about 20 KB
 
 
 class FormatError(ValueError):
@@ -137,10 +138,13 @@ def write_dimacs(g: Graph) -> str:
 
 
 def read_graph(path: str | Path, fmt: str = "auto") -> Graph:
-    """Read a UTF-8 graph file; fmt is 'edgelist', 'dimacs' or 'auto' (by
-    the .col suffix)."""
+    """Read a UTF-8 graph file of at most MAX_FILE_BYTES bytes; fmt is
+    'edgelist', 'dimacs' or 'auto' (by the .col suffix)."""
     p = Path(path)
-    data = p.read_bytes()
+    with p.open("rb") as f:
+        data = f.read(MAX_FILE_BYTES + 1)
+    if len(data) > MAX_FILE_BYTES:
+        raise ValueError(f"{path}: file is larger than {MAX_FILE_BYTES} bytes")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -367,34 +367,37 @@ def _run(graphs: Iterable[Graph], corpus: str, claims: list) -> list[TheoremVerd
     per (claim, mode) of ``claims``, each evaluated graph by graph in
     corpus order.  The corpus is walked in blocks of ``_BLOCK`` graphs;
     the records built for a block share the call's component table, and
-    every claim reads them before the next block is built."""
+    every claim reads them before the next block is built.  Per claim it
+    counts every failure but keeps only the first ``WITNESS_CAP`` in
+    witness order, stably sorting each block's new ones after the kept."""
     table: dict = {}
     total = 0
     skipped = dict.fromkeys(claims, 0)
-    fails: dict[tuple[str, str | None], list[tuple[Graph, str, dict]]] = {c: [] for c in claims}
+    failures = dict.fromkeys(claims, 0)
+    kept: dict[tuple[str, str | None], list[tuple[Graph, str, dict]]] = {c: [] for c in claims}
     entries = iter(graphs)
     while block := [GraphFacts(g, table) for g in islice(entries, _BLOCK)]:
         total += len(block)
         for claim in claims:
             checker, mode = _CHECKERS[claim[0]], claim[1]
+            failed = kept[claim]
+            before = len(failed)
             for facts in block:
                 outcome = checker(facts, mode)
                 if outcome == _SKIP:
                     skipped[claim] += 1
                 elif outcome is not None:
                     explanation, details = outcome  # type: ignore[misc]
-                    fails[claim].append((facts.graph, explanation, details))
+                    failed.append((facts.graph, explanation, details))
+            if len(failed) > before:
+                failures[claim] += len(failed) - before
+                failed.sort(key=lambda item: (item[0].n, item[0].m, item[0].edges))
+                del failed[WITNESS_CAP:]
     verdicts = []
-    for (theorem_id, mode), failed in fails.items():
-        failed.sort(key=lambda item: (item[0].n, item[0].m, item[0].edges))
+    for (theorem_id, mode), failed in kept.items():
         witnesses = tuple(
-            Witness(
-                n=g.n,
-                edges=g.edges,
-                explanation=explanation,
-                details=tuple(sorted(details.items())),
-            )
-            for g, explanation, details in failed[:WITNESS_CAP]
+            Witness(g.n, g.edges, explanation, tuple(sorted(details.items())))
+            for g, explanation, details in failed
         )
         verdicts.append(TheoremVerdict(
             theorem=theorem_id,
@@ -403,7 +406,7 @@ def _run(graphs: Iterable[Graph], corpus: str, claims: list) -> list[TheoremVerd
             tested=total - skipped[theorem_id, mode],
             skipped=skipped[theorem_id, mode],
             status="COUNTEREXAMPLE" if failed else "HOLDS",
-            counterexample_count=len(failed),
+            counterexample_count=failures[theorem_id, mode],
             witnesses=witnesses,
         ))
     return verdicts

@@ -275,25 +275,22 @@ def test_enumerated_graphs_are_valid():
             assert t == build_graph(t.n, t.edges)
 
 
-def test_enumerated_graphs_of_one_order_share_pairs_and_rows():
-    # equal edge pairs and equal neighbour rows within one order are one
-    # object each; test_enumerated_graphs_are_valid checks their values
+def test_enumerated_graphs_of_one_order_share_rows():
+    # equal neighbour rows within one order are one object each;
+    # test_enumerated_graphs_are_valid checks their values
     corpora = [enumerate_graphs(n) for n in range(1, 8)]
     corpora += [enumerate_trees(n) for n in range(1, 10)]
     for corpus in corpora:
-        pairs: dict[tuple[int, int], tuple[int, int]] = {}
         rows: dict[tuple[int, ...], tuple[int, ...]] = {}
         for g in corpus:
-            for pair in g.edges:
-                assert pair is pairs.setdefault(pair, pair), g
             for row in g.adjacency:
                 assert row is rows.setdefault(row, row), g
 
 
 def test_enumeration_retains_under_half_the_bytes_of_plain_copies():
     # order 7 built afresh (order 6 stays cached) against build_graph
-    # copies of the same graphs: 0.25 of their bytes with pairs and rows
-    # shared, 1.00 with a fresh tuple per edge and per row
+    # copies of the same graphs: 0.27 of their bytes with rows shared,
+    # 1.00 with a fresh tuple per row
     enumerate_graphs(6)
 
     def retained(build):

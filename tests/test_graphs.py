@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from jrainbow import (
@@ -9,7 +11,7 @@ from jrainbow import (
     is_connected,
 )
 from jrainbow import graphs
-from jrainbow.graphs import has_cycle_length_multiple, simple_cycle_lengths
+from jrainbow.graphs import Graph, has_cycle_length_multiple, simple_cycle_lengths
 
 from conftest import count_calls, family
 from oracles import naive_cycle_lengths
@@ -121,6 +123,19 @@ def test_induced_subgraph_relabels():
     sub, verts = induced_subgraph(g, [1, 2, 4])
     assert verts == (1, 2, 4)
     assert sub.edges == ((0, 1),)  # only edge 1-2 survives
+
+
+@pytest.mark.parametrize("vertices", [[0, 99], [-1, 1, 2], [3]])
+def test_induced_subgraph_rejects_vertices_outside_the_graph(vertices):
+    with pytest.raises(ValueError, match="outside 0..2"):
+        induced_subgraph(build_graph(3, [(0, 1), (1, 2)]), vertices)
+
+
+def test_graph_stores_only_its_rows():
+    assert [f.name for f in dataclasses.fields(Graph)] == ["n", "adjacency"]
+    g = family("cycle", 4)
+    assert not hasattr(g, "__dict__")
+    assert g.edges == ((0, 1), (0, 3), (1, 2), (2, 3)) and g.m == 4
 
 
 def test_is_connected():

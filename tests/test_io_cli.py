@@ -16,7 +16,7 @@ from jrainbow import (
 )
 from jrainbow import cli, enumerate_graphs
 from jrainbow.cli import main
-from jrainbow.io import MAX_VERTICES
+from jrainbow.io import MAX_FILE_BYTES, MAX_VERTICES, read_graph
 from jrainbow.theorems import check_all, report
 
 from conftest import family
@@ -121,6 +121,24 @@ def test_cli_rejects_huge_vertex_count_exit_2(tmp_path, capsys, name, text):
     assert main(["analyze", str(path)]) == 2
     err = capsys.readouterr().err
     assert "line 1" in err and f"exceeds the limit of {MAX_VERTICES}" in err
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["rainbow", "--all-pairs"]])
+def test_cli_rejects_a_file_over_the_byte_cap_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "long.edges"
+    path.write_bytes(b"1 0\n" + b"#" * (MAX_FILE_BYTES - 4) + b"\n")
+    assert path.stat().st_size == MAX_FILE_BYTES + 1
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: file is larger than {MAX_FILE_BYTES} bytes\n"
+
+
+def test_file_of_comments_at_the_byte_cap_parses(tmp_path):
+    path = tmp_path / "long.edges"
+    path.write_bytes(b"2 1\n0 1\n" + b"#" * (MAX_FILE_BYTES - 9) + b"\n")
+    assert path.stat().st_size == MAX_FILE_BYTES
+    assert read_graph(path) == build_graph(2, [(0, 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,35 @@ def test_live_graph_records_never_exceed_one_block(run, monkeypatch):
     assert max(sizes) <= theorems._BLOCK
 
 
+@pytest.mark.parametrize("run", [check_all, lambda corpus: [check("T1", corpus)]],
+                         ids=["check_all", "check-T1"])
+def test_failures_kept_never_exceed_a_cap_plus_one_block(run, monkeypatch):
+    # T1 fails every graph, and its details live while its failure is kept:
+    # only those that can still be among the first WITNESS_CAP, plus one
+    # block's new ones before the cut
+    corpus = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    live = weakref.WeakSet()
+    sizes = []
+
+    class Details(dict):  # set members by identity
+        __eq__ = object.__eq__
+        __hash__ = object.__hash__
+
+    def failing(facts, mode):
+        details = Details(n=facts.graph.n)
+        live.add(details)
+        sizes.append(len(live))
+        return "fails", details
+
+    monkeypatch.setitem(theorems._CHECKERS, "T1", failing)
+    verdict = run(corpus)[0]
+    assert verdict.theorem == "T1" and verdict.counterexample_count == len(corpus) == 1252
+    assert len(sizes) == len(corpus)
+    assert max(sizes) <= theorems.WITNESS_CAP + theorems._BLOCK
+    first = sorted(corpus, key=lambda g: (g.n, g.m, g.edges))[:theorems.WITNESS_CAP]
+    assert [(w.n, w.edges) for w in verdict.witnesses] == [(g.n, g.edges) for g in first]
+
+
 # the per-component solvers whose calls check_all makes through a record,
 # each with the module that defines it
 COUNTED = {
