@@ -182,6 +182,31 @@ def test_live_graph_records_never_exceed_one_block(run, monkeypatch):
     assert max(sizes) <= theorems._BLOCK
 
 
+def test_records_of_largest_order_connected_graphs_leave_with_their_block(monkeypatch):
+    # such a graph is its own only component, which no other graph of the
+    # corpus can hold, so the component table does not keep its record
+    corpus = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    live = weakref.WeakSet()
+
+    class Tracked(analysis.ComponentFacts):
+        def __init__(self, comp):
+            super().__init__(comp)
+            if comp.n == 7:
+                live.add(self)
+
+    sizes = []
+
+    def sizing(facts, mode):
+        sizes.append(len(live))
+        return None
+
+    monkeypatch.setattr(analysis, "ComponentFacts", Tracked)
+    monkeypatch.setitem(theorems._CHECKERS, "T1", sizing)
+    check("T1", corpus)
+    assert len(sizes) == len(corpus)
+    assert 0 < max(sizes) <= theorems._BLOCK
+
+
 @pytest.mark.parametrize("run", [check_all, lambda corpus: [check("T1", corpus)]],
                          ids=["check_all", "check-T1"])
 def test_failures_kept_never_exceed_a_cap_plus_one_block(run, monkeypatch):

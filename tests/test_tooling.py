@@ -4,11 +4,14 @@ The benchmark runner (bench/run.py) and its output checks
 (bench/checks.py) list every claim and mode, so a claim or mode added to
 the package alone fails here.  The tracer and runner files are parsed
 here, never imported or run; the checks file is loaded by path.  The
-call counter the search-effort tests use is checked here too."""
+call counter the search-effort tests use is checked here too, and so is
+that importing the package loads no process pool."""
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
 import sys
 
 from jrainbow.theorems import THEOREM_IDS, THEOREM_MODES
@@ -70,3 +73,22 @@ def test_count_calls_counts_a_resumed_generator_once():
 
     drawn, calls = count_calls(sys.modules[__name__], "_three_items", draw_three_then_close)
     assert (drawn, calls) == ([0, 1, 2], 1)
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # the pool's modules are imported only when a stage forks workers, so
+    # runs that never fork, such as check --max-n 7 and analyze, keep the
+    # peak memory they had without them
+    src = str(BENCH.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = (
+        "import sys, jrainbow, jrainbow.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.partition('.')[0] == 'multiprocessing' or m.startswith('concurrent')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
