@@ -448,7 +448,7 @@ def _maximal_subsets(h: Graph):
                 yield subset
 
 
-# Parents per share of an order's augmentations.  Five interleaved fresh
+# Parents per process of an order's augmentations.  Five interleaved fresh
 # runs of one order on two shares against one (2-CPU Xeon, Python 3.11.7)
 # put the median at 15 against 13 ms for order 6 (34 parents), 71 against
 # 89 ms for order 7 (156) and 0.66 against 1.25 s for order 8 (1044): the
@@ -458,21 +458,21 @@ def _maximal_subsets(h: Graph):
 _PARENTS_PER_SHARE = 512
 
 
-def _forms_share(j: int, count: int, n: int) -> set[tuple[int, int]]:
-    """Share j of ``count`` of order n's augmentations: the forms that the
-    parents j, j + count, ... of order n - 1 give."""
-    return _augmented_forms(_all_graphs(n - 1)[j::count], _maximal_subsets)
+def _forms_slice(lo: int, hi: int, n: int) -> set[tuple[int, int]]:
+    """The forms that order n's augmentations of the parents ``lo .. hi - 1``
+    of order n - 1 give."""
+    return _augmented_forms(_all_graphs(n - 1)[lo:hi], _maximal_subsets)
 
 
 @cache
 def _all_graphs(n: int) -> tuple[Graph, ...]:
     """All non-isomorphic graphs on n vertices via vertex augmentation:
     attach a new vertex n-1 to subsets of each (n-1)-vertex graph and
-    deduplicate by canonical form.  The parents are split into one share
-    per CPU, each run in a forked worker, once there are at least
-    ``_PARENTS_PER_SHARE`` parents per share (order 8 on a machine with
-    more than one CPU); the sort makes the union of the shares' forms
-    the same for any share count.
+    deduplicate by canonical form.  The parents are shared among one
+    forked worker per CPU, which take slices of them as they come free,
+    once there are at least ``_PARENTS_PER_SHARE`` parents per process
+    (order 8 on a machine with more than one CPU); the sort makes the
+    union of the slices' forms the same for any process count.
 
     An augmentation is skipped unless vertex n-1 has the largest
     isomorphism-invariant signature (degree, sorted neighbour degrees).
@@ -484,8 +484,9 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
     """
     if n == 1:
         return (_graph_from_form((1, 0), {}),)
-    count = _shares.share_count(len(_all_graphs(n - 1)), _PARENTS_PER_SHARE)
-    forms, *others = _shares.run(_forms_share, count, n)
+    parents = len(_all_graphs(n - 1))
+    count = _shares.share_count(parents, _PARENTS_PER_SHARE)
+    forms, *others = _shares.run(_forms_slice, count, parents, n)
     forms.update(*others)
     ordered = sorted(forms, key=lambda f: (f[1].bit_count(), f[1]))
     shared: dict = {}

@@ -32,10 +32,10 @@ evaluators read a :class:`~jrainbow.analysis.GraphFacts` record.  A
 block's graph records, runs every selected claim and mode over them and
 then drops them, so the live graph records never exceed one block per
 process.  A large corpus (n <= 8 on a machine with more than one CPU)
-has its blocks split into one share per CPU, each checked in a forked
-worker with its own component table; a smaller one is one share, run
-in-process.  Each share computes each distinct component's facts once,
-and the report is the same for any share count.
+is shared among one forked worker per CPU, each with its own component
+table, which take slices of the corpus as they come free; a smaller one
+is checked in-process.  Each process computes each distinct component's
+facts once, and the report is the same for any process count.
 """
 
 from __future__ import annotations
@@ -324,14 +324,14 @@ _CHECKERS: dict[str, Callable[[GraphFacts, str | None], object]] = {
 # 4.07 s with 64, and the peak RSS at 58.5, 44.9, 45.0 and 46.5 MB.
 _BLOCK = 32
 
-# Graphs per share of the corpus loop.  Each share solves the components
-# it meets in its own table, so small components are solved once per
-# share.  Fresh runs of check_all on two shares against one (2-CPU Xeon,
-# Python 3.11.7), median of five for n <= 7 and of three for the first
-# 2048 and 4096 graphs with n <= 8, all claims: 0.25 against 0.23 s over
-# n <= 7 (1252 graphs), 0.32 against 0.37 s and 0.51 against 1.19 s.  So
-# the break-even lies between 1252 and 2048 graphs, and 4096 per share
-# leaves n <= 7 serial on any machine.
+# Graphs per process of the corpus loop.  Each process solves the
+# components it meets in its own table, so small components are solved
+# once per process.  Fresh runs of check_all on two processes against one
+# (2-CPU Xeon, Python 3.11.7), median of five for n <= 7 and of three for
+# the first 2048 and 4096 graphs with n <= 8, all claims: 0.25 against
+# 0.23 s over n <= 7 (1252 graphs), 0.32 against 0.37 s and 0.51 against
+# 1.19 s.  So the break-even lies between 1252 and 2048 graphs, and 4096
+# per process leaves n <= 7 serial on any machine.
 _GRAPHS_PER_SHARE = 4096
 
 
@@ -341,10 +341,10 @@ def check(
     corpus: str = "",
     mode: str | None = None,
 ) -> TheoremVerdict:
-    """Evaluate one claim over a graph corpus, graph by graph.  Each share
-    of the corpus (see :func:`_run`) keeps one component record per
-    distinct component, and builds the graph records it needs one block
-    of the corpus at a time."""
+    """Evaluate one claim over a graph corpus, graph by graph.  Each
+    process of the corpus loop (see :func:`_run`) keeps one component
+    record per distinct component, and builds the graph records it needs
+    one block of the corpus at a time."""
     if theorem_id not in _CHECKERS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     modes = THEOREM_MODES[theorem_id]
@@ -361,7 +361,7 @@ def check_all(
     theorems: Iterable[str] | None = None,
 ) -> list[TheoremVerdict]:
     """Run the selected claims (default: all), each once in every mode,
-    ordered by theorem id then mode.  Each share of the corpus (see
+    ordered by theorem id then mode.  Each process of the corpus loop (see
     :func:`_run`) keeps one component record per distinct component; each
     graph's record is built once, read by every claim and mode while its
     block of the corpus is checked, and then dropped."""
@@ -378,19 +378,21 @@ def check_all(
 def _run(graphs: Sequence[Graph], corpus: str, claims: list) -> list[TheoremVerdict]:
     """The corpus loop of :func:`check` and :func:`check_all`: one verdict
     per (claim, mode) of ``claims``, each evaluated graph by graph.  The
-    blocks of the corpus are split into one share per CPU, each run in a
-    forked worker, once there are at least ``_GRAPHS_PER_SHARE`` graphs
-    per share; see :func:`_claims_share`.  The shares' counts are summed
-    and their kept failures merged in witness order, which is total, so
-    the verdicts are the same for any share count."""
+    corpus is shared among one forked worker per CPU, which take slices
+    of it as they come free, once there are at least
+    ``_GRAPHS_PER_SHARE`` graphs per process; see :func:`_claims_slice`.
+    The slices' counts are summed and their kept failures merged in
+    witness order, which is total, so the verdicts are the same for any
+    process count."""
     count = _shares.share_count(len(graphs), _GRAPHS_PER_SHARE)
     top = max((g.n for g in graphs), default=0)
-    shares = _shares.run(_claims_share, count, graphs, claims, top)
+    table: dict = {}
+    slices = _shares.run(_claims_slice, count, len(graphs), graphs, claims, top, table)
     verdicts = []
     for c, (theorem_id, mode) in enumerate(claims):
-        skipped = sum(share[c][0] for share in shares)
+        skipped = sum(part[c][0] for part in slices)
         failed = sorted(
-            (item for share in shares for item in share[c][2]),
+            (item for part in slices for item in part[c][2]),
             key=lambda item: _witness_order(graphs, item[0]),
         )[:WITNESS_CAP]
         witnesses = tuple(
@@ -404,7 +406,7 @@ def _run(graphs: Sequence[Graph], corpus: str, claims: list) -> list[TheoremVerd
             tested=len(graphs) - skipped,
             skipped=skipped,
             status="COUNTEREXAMPLE" if failed else "HOLDS",
-            counterexample_count=sum(share[c][1] for share in shares),
+            counterexample_count=sum(part[c][1] for part in slices),
             witnesses=witnesses,
         ))
     return verdicts
@@ -415,25 +417,25 @@ def _witness_order(graphs: Sequence[Graph], i: int) -> tuple:
     return (g.n, g.m, g.edges, i)
 
 
-def _claims_share(
-    j: int, count: int, graphs: Sequence[Graph], claims: list, top: int
+def _claims_slice(
+    lo: int, hi: int, graphs: Sequence[Graph], claims: list, top: int, table: dict
 ) -> list[list]:
-    """Share j of ``count`` of the corpus loop: the blocks j, j + count, ...
-    of ``_BLOCK`` graphs, with the share's own component table.  The
-    records built for a block share that table, and every claim reads
-    them before the next block is built.  A connected graph of the
-    corpus's largest order ``top`` is its own only component, which no
-    other graph can hold, so its record leaves the table with its block.
+    """The corpus loop over ``graphs[lo:hi]``, in blocks of ``_BLOCK``
+    graphs, with the process's component ``table`` (a forked worker's
+    own copy, kept from slice to slice).  The records built for a block
+    share that table, and every claim reads them before the next block
+    is built.  A connected graph of the corpus's largest order ``top`` is
+    its own only component, which no other graph can hold, so its record
+    leaves the table with its block.
 
     Per claim it returns the skipped count, the failure count and the
     first ``WITNESS_CAP`` failures in witness order, as (corpus index,
     explanation, details); each block's new failures are sorted with the
     kept ones and cut back to ``WITNESS_CAP``."""
-    table: dict = {}
     tallies = [[0, 0, []] for _ in claims]
-    for start in range(j * _BLOCK, len(graphs), count * _BLOCK):
+    for start in range(lo, hi, _BLOCK):
         block = []
-        for i in range(start, min(start + _BLOCK, len(graphs))):
+        for i in range(start, min(start + _BLOCK, hi)):
             facts = GraphFacts(graphs[i], table)
             if facts.graph.n == top and len(facts.components) == 1:
                 del table[facts.graph]

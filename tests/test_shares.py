@@ -1,7 +1,8 @@
-"""The corpus stages split into shares: the claim loop and the enumeration
-give the same output for any share count, a worker that dies fails the
-call at once, and a process with a second thread does not fork.  The
-CPU count is patched so that these tests fork on any Linux machine."""
+"""The corpus stages shared among processes: the claim loop and the
+enumeration give the same output for any process count, slices go to
+whichever worker is free, a worker that dies fails the call at once, and
+a process with a second thread does not fork.  The CPU count is patched
+so that these tests fork on any Linux machine."""
 
 import os
 import random
@@ -24,9 +25,9 @@ def shares(monkeypatch):
     counts = []
     run = _shares.run
 
-    def recording(fn, count, *args):
+    def recording(fn, count, items, *args):
         counts.append(count)
-        return run(fn, count, *args)
+        return run(fn, count, items, *args)
 
     monkeypatch.setattr(_shares, "run", recording)
     monkeypatch.setattr(theorems, "_GRAPHS_PER_SHARE", 1)
@@ -84,7 +85,7 @@ def test_a_worker_that_dies_breaks_the_call(corpus_to_6, shares, monkeypatch):
             os._exit(1)
         raise AssertionError("the share ran in-process")
 
-    monkeypatch.setattr(theorems, "_claims_share", dying)
+    monkeypatch.setattr(theorems, "_claims_slice", dying)
     shares(2)
     start = time.perf_counter()
     with pytest.raises(BrokenProcessPool):
@@ -105,3 +106,21 @@ def test_a_second_thread_keeps_one_share(monkeypatch):
     assert _shares.share_count(1000, 1) == 4
     assert _shares.share_count(1000, 300) == 3
     assert _shares.share_count(10, 300) == 1
+
+
+def _slow_first_slice(lo, hi):
+    if lo == 0:
+        time.sleep(0.5)
+    return lo, hi, os.getpid()
+
+
+def test_slices_cover_the_items_in_order_and_go_to_free_workers():
+    # the worker held up by the first slice takes few others, where a
+    # fixed split would leave it half of them
+    slices = _shares.run(_slow_first_slice, 2, 1000)
+    assert len(slices) == 2 * _shares._SLICES_PER_PROCESS
+    assert slices[0][0] == 0 and slices[-1][1] == 1000
+    assert all(a[1] == b[0] for a, b in zip(slices, slices[1:]))
+    slow = slices[0][2]
+    assert len({pid for *_, pid in slices} - {os.getpid()}) == 2
+    assert sum(pid == slow for *_, pid in slices) <= 3
