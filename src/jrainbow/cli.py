@@ -7,10 +7,15 @@ Subcommands:
   check                   run the claim checker over enumerated graphs
   rainbow <file>          rainbow paths for one pair or all pairs
 
+Each command returns its texts and their destinations; ``main`` checks
+every ``--json`` / ``--dot`` path before any work, then writes the files
+and, after them, stdout (``-``).
+
 Exit codes: 0 success; 1 when --expect-admits was set but the graph
 admits no componentwise J-colouring; 2 on input errors (malformed files
 are reported with line numbers, and a graph file or a family instance
-may have at most 64 vertices, ``io.MAX_VERTICES``).
+may have at most 64 vertices, ``io.MAX_VERTICES``), on a destination
+that is a directory or lies in none, and on a failed write.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="input format; DIMACS vertex ids are 1-based and shifted to "
         "0-based internally (default: auto, by .col suffix)",
     )
-    _add_output_flags(analyze)
+    _add_analysis_flags(analyze)
 
     family = sub.add_parser("family", help="analyse a named family instance")
     family.add_argument("kind", choices=[k for k in KINDS if k != "disjoint_union"])
@@ -62,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "params", type=int, nargs="+",
         help="orders / part sizes (wheel takes its total order: hub + rim)",
     )
-    _add_output_flags(family)
+    _add_analysis_flags(family)
 
     chk = sub.add_parser("check", help="run the claim checker over all "
                          "non-isomorphic graphs up to a size")
@@ -83,14 +88,13 @@ def _build_parser() -> argparse.ArgumentParser:
     group = rainbow.add_mutually_exclusive_group(required=True)
     group.add_argument("--pair", nargs=2, type=int, metavar=("U", "V"))
     group.add_argument("--all-pairs", action="store_true")
-    rainbow.add_argument("--json", metavar="PATH", help="write JSON to PATH ('-' = stdout)")
-    rainbow.add_argument("--dot", metavar="PATH", help="write a DOT rendering with bold witness paths")
+    for cmd in (analyze, family, rainbow):
+        cmd.add_argument("--json", metavar="PATH", help="write the JSON document to PATH ('-' = stdout)")
+        cmd.add_argument("--dot", metavar="PATH", help="write a DOT rendering to PATH ('-' = stdout)")
     return parser
 
 
-def _add_output_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--json", metavar="PATH", help="write the JSON document to PATH ('-' = stdout)")
-    sub.add_argument("--dot", metavar="PATH", help="write a DOT rendering to PATH")
+def _add_analysis_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--modes", default="all",
         help="comma-separated analysis modes out of "
@@ -102,11 +106,10 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+# what a command returns: its exit code and its (text, destination) pairs
+# in the order it writes them, where a destination of None or "-" is stdout
+Result = tuple[int, list[tuple[str, str | None]]]
+_STDOUT = (None, "-")
 
 
 def _parse_modes(spec: str) -> tuple[list[str], list[str]]:
@@ -144,30 +147,24 @@ def _dot_colouring(dec: ComponentDecomposition, colourings: list[Colouring]) -> 
     return Colouring(ell=max(assign), assignment=tuple(assign))
 
 
-def _run_analysis(g: Graph, args: argparse.Namespace, extra: dict | None = None) -> int:
+def _run_analysis(g: Graph, args: argparse.Namespace, extra: dict | None = None) -> Result:
     rainbow_modes, connectivity_modes = _parse_modes(args.modes)
     facts = GraphFacts(g)
     doc = analyse_graph(facts, rainbow_modes=rainbow_modes, connectivity_modes=connectivity_modes)
     if extra:
         doc.update(extra)
-    if args.json is not None:
-        _emit(dump_json(doc), args.json)
-    else:
-        sys.stdout.write(render_text(doc))
+    outputs = [(render_text(doc) if args.json is None else dump_json(doc), args.json)]
     if args.dot is not None:
         _, colourings = _component_colourings(facts)
-        _emit(export_dot(g, _dot_colouring(facts.decomposition, colourings)), args.dot)
-    if args.expect_admits and not doc["whole"]["jc"]["admits"]:
-        return 1
-    return 0
+        outputs.append((export_dot(g, _dot_colouring(facts.decomposition, colourings)), args.dot))
+    return int(args.expect_admits and not doc["whole"]["jc"]["admits"]), outputs
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    g = read_graph(args.file, args.format)
-    return _run_analysis(g, args)
+def _cmd_analyze(args: argparse.Namespace) -> Result:
+    return _run_analysis(read_graph(args.file, args.format), args)
 
 
-def _cmd_family(args: argparse.Namespace) -> int:
+def _cmd_family(args: argparse.Namespace) -> Result:
     spec = FamilySpec(args.kind, tuple(args.params))
     n = sum(spec.params)  # the vertex count of every kind offered here
     if n > MAX_VERTICES:
@@ -186,12 +183,9 @@ def _cmd_family(args: argparse.Namespace) -> int:
     return _run_analysis(g, args, extra=oracle)
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> Result:
     if not 1 <= args.max_n <= 8:
         raise ValueError(f"--max-n must be in 1..8, got {args.max_n}")
-    if args.json and args.json != "-" and not Path(args.json).parent.is_dir():
-        # fail before the enumeration and the checks, not on the write
-        raise ValueError(f"--json: no directory {str(Path(args.json).parent)!r}")
     if args.theorems == "all":
         theorems = list(THEOREM_IDS)
     else:
@@ -199,20 +193,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     graphs = []
     for n in range(1, args.max_n + 1):
         graphs.extend(enumerate_graphs(n, connected_only=args.connected_only))
-    corpus = (
-        f"{'connected ' if args.connected_only else ''}graphs n<={args.max_n}"
-    )
+    corpus = f"{'connected ' if args.connected_only else ''}graphs n<={args.max_n}"
     verdicts = check_all(graphs, corpus=corpus, theorems=theorems)
-    if args.text:
-        sys.stdout.write(report(verdicts, "text"))
-        if args.json:
-            _emit(report(verdicts, "json"), args.json)
-    else:
-        _emit(report(verdicts, "json"), args.json if args.json else "-")
-    return 0
+    outputs = [(report(verdicts, "text"), None)] if args.text else []
+    if not args.text or args.json is not None:
+        outputs.append((report(verdicts, "json"), args.json))
+    return 0, outputs
 
 
-def _cmd_rainbow(args: argparse.Namespace) -> int:
+def _cmd_rainbow(args: argparse.Namespace) -> Result:
     g = read_graph(args.file, args.format)
     if g.n == 0:
         raise ValueError("componentwise numbers of the empty graph are undefined")
@@ -238,10 +227,8 @@ def _cmd_rainbow(args: argparse.Namespace) -> int:
         cu, lu = vertex_map[u]
         cv, lv = vertex_map[v]
         if cu != cv:
-            entries.append(
-                {"pair": [u, v], "exists": False, "path": None,
-                 "reason": "different components"}
-            )
+            entries.append({"pair": [u, v], "exists": False, "path": None,
+                            "reason": "different components"})
             continue
         witness = finders[cu](lu, lv)
         if witness is None:
@@ -249,10 +236,8 @@ def _cmd_rainbow(args: argparse.Namespace) -> int:
         else:
             parent_path = [dec.vertices[cu][w] for w in witness.path]
             witness_paths.append(parent_path)
-            entries.append(
-                {"pair": [u, v], "exists": True, "path": parent_path,
-                 "colours": sorted(witness.colours_seen)}
-            )
+            entries.append({"pair": [u, v], "exists": True, "path": parent_path,
+                            "colours": sorted(witness.colours_seen)})
     doc = {
         "schema": "rainbow-paths/1",
         "graph": {"n": g.n, "m": g.m},
@@ -260,18 +245,18 @@ def _cmd_rainbow(args: argparse.Namespace) -> int:
         "colourings": [c.to_json_dict() for c in comp_colourings],
         "pairs": entries,
     }
-    if args.json is not None:
-        _emit(dump_json(doc), args.json)
-    else:
-        for e in entries:
-            if e["exists"]:
-                sys.stdout.write(f"{e['pair'][0]} {e['pair'][1]}: {' '.join(map(str, e['path']))}\n")
-            else:
-                reason = f" ({e['reason']})" if e.get("reason") else ""
-                sys.stdout.write(f"{e['pair'][0]} {e['pair'][1]}: no rainbow path{reason}\n")
+    text = dump_json(doc) if args.json is not None else "".join(map(_pair_line, entries))
+    outputs = [(text, args.json)]
     if args.dot is not None:
-        _emit(export_dot(g, _dot_colouring(dec, comp_colourings), witness_paths), args.dot)
-    return 0
+        outputs.append((export_dot(g, _dot_colouring(dec, comp_colourings), witness_paths), args.dot))
+    return 0, outputs
+
+
+def _pair_line(e: dict) -> str:
+    if e["exists"]:
+        return f"{e['pair'][0]} {e['pair'][1]}: {' '.join(map(str, e['path']))}\n"
+    reason = f" ({e['reason']})" if e["reason"] else ""
+    return f"{e['pair'][0]} {e['pair'][1]}: no rainbow path{reason}\n"
 
 
 _COMMANDS = {
@@ -283,10 +268,22 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        for flag in ("json", "dot"):  # fail before the work, not on the write
+            dest = vars(args).get(flag)
+            if dest in _STDOUT:
+                continue
+            if not Path(dest).parent.is_dir():
+                raise ValueError(f"--{flag}: no directory {str(Path(dest).parent)!r}")
+            if Path(dest).is_dir():
+                raise ValueError(f"--{flag}: {dest!r} is a directory")
+        code, outputs = _COMMANDS[args.command](args)
+        for text, dest in outputs:
+            if dest not in _STDOUT:
+                Path(dest).write_text(text)
+        sys.stdout.write("".join(text for text, dest in outputs if dest in _STDOUT))
+        return code
     except FormatError as exc:
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 2

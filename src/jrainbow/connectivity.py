@@ -304,18 +304,6 @@ class ConnectivityReport:
     def witness_map(self) -> dict[tuple[int, int], tuple[int, ...]]:
         return dict(self.witness_paths)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "connected": self.connected,
-            "mode": self.mode,
-            "colourings": [c.to_json_dict() if c else None for c in self.colourings],
-            "witness_paths": [
-                {"pair": list(pair), "path": list(path)}
-                for pair, path in self.witness_paths
-            ],
-            "failed_pairs": [list(p) for p in self.failed_pairs],
-        }
-
 
 def _report(
     dec: ComponentDecomposition, mode: str, colourings: Sequence[Colouring | None]

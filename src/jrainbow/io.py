@@ -90,8 +90,9 @@ def write_edgelist(g: Graph) -> str:
 
 def parse_dimacs(text: str) -> Graph:
     """Parse a DIMACS .col instance ('p edge n m' header, 1-based 'e u v'
-    lines).  The declared edge count is not enforced: real instances often
-    misreport it and duplicates collapse anyway."""
+    lines).  The declared edge count must be a non-negative integer but is
+    not enforced against the 'e' lines: real instances often misreport it
+    and duplicates collapse anyway."""
     n = None
     edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(_lines(text), start=1):
@@ -105,11 +106,11 @@ def parse_dimacs(text: str) -> Graph:
             if len(fields) != 4 or fields[1] not in ("edge", "edges", "col"):
                 raise FormatError(lineno, f"expected 'p edge n m', got {line!r}")
             try:
-                n = int(fields[2])
+                n, m = int(fields[2]), int(fields[3])
             except ValueError:
-                raise FormatError(lineno, f"vertex count must be an integer, got {fields[2]!r}")
-            if n < 0:
-                raise FormatError(lineno, "vertex count must be non-negative")
+                raise FormatError(lineno, f"header values must be integers, got {line!r}")
+            if n < 0 or m < 0:
+                raise FormatError(lineno, "header values must be non-negative")
             if n > MAX_VERTICES:
                 raise FormatError(lineno, f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
         elif fields[0] == "e":
@@ -138,15 +139,17 @@ def write_dimacs(g: Graph) -> str:
 
 
 def read_graph(path: str | Path, fmt: str = "auto") -> Graph:
-    """Read a UTF-8 graph file of at most MAX_FILE_BYTES bytes; fmt is
-    'edgelist', 'dimacs' or 'auto' (by the .col suffix)."""
+    """Read a UTF-8 graph file of at most MAX_FILE_BYTES bytes, with or
+    without a byte-order mark; fmt is 'edgelist', 'dimacs' or 'auto' (by
+    the .col suffix)."""
     p = Path(path)
     with p.open("rb") as f:
         data = f.read(MAX_FILE_BYTES + 1)
     if len(data) > MAX_FILE_BYTES:
         raise ValueError(f"{path}: file is larger than {MAX_FILE_BYTES} bytes")
     try:
-        text = data.decode("utf-8")
+        # dropped after decoding, so that a bad byte's offset counts the mark
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise FormatError(
             data.count(b"\n", 0, exc.start) + 1,

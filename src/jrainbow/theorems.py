@@ -211,12 +211,11 @@ def _check_t6(facts: GraphFacts, mode: str | None) -> object:
 def _check_t7(facts: GraphFacts, mode: str | None) -> object:
     for ci, comp in enumerate(facts.components):
         res = comp.j
-        if not res.admits or res.value < 3:
-            continue
-        if comp.jc_rainbow_colouring is None:
-            continue
         delta = comp.profile.delta
-        if delta < 2:
+        # delta first: the rainbow verdict is a search, delta is not
+        if not res.admits or res.value < 3 or delta >= 2:
+            continue
+        if comp.jc_rainbow_colouring is not None:
             return (
                 f"component {ci} has J={res.value} >= 3 and is J-rainbow connected "
                 f"but delta={delta} < 2",

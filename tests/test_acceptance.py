@@ -476,6 +476,23 @@ GOLDEN_CASES = [
         "check_max_n8_t1_t3_t4_t5_t6.json",
         ["check", "--max-n", "8", "--theorems", "T1,T3,T4,T5,T6", "--json", "-"],
     ),
+    (
+        "rainbow_petersen_all_pairs.txt",
+        ["rainbow", str(GOLDEN_DIR / "petersen.edges"), "--all-pairs"],
+    ),
+    (
+        "rainbow_k4_2k1_all_pairs.json",
+        ["rainbow", str(GOLDEN_DIR / "k4_2k1.edges"), "--all-pairs", "--json", "-"],
+    ),
+    # two documents on stdout, in the order the flags name them
+    (
+        "analyze_petersen_json_dot.txt",
+        ["analyze", str(GOLDEN_DIR / "petersen.edges"), "--json", "-", "--dot", "-"],
+    ),
+    (
+        "check_max_n5_text_json.txt",
+        ["check", "--max-n", "5", "--text", "--json", "-"],
+    ),
 ]
 
 

@@ -75,6 +75,12 @@ def test_dimacs_errors():
         parse_dimacs("p edge 2 1\ne 1 1\n")
     with pytest.raises(FormatError):
         parse_dimacs("c nothing else\n")
+    # the edge count must be a count, though the 'e' lines need not match it
+    for count in ("x", "-5"):
+        with pytest.raises(FormatError) as err:
+            parse_dimacs(f"c demo\np edge 3 {count}\ne 1 2\n")
+        assert err.value.line == 2
+    assert parse_dimacs("p edge 3 7\ne 1 2\n").edges == ((0, 1),)
 
 
 def test_parsers_reject_vertex_counts_above_the_limit():
@@ -263,6 +269,21 @@ def test_cli_file_that_is_not_utf8_exit_2(tmp_path, capsys, argv):
     assert err == f"error: {path}: line 2: not UTF-8: byte 0xff at offset 4\n"
 
 
+def test_read_graph_accepts_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.edges"
+    path.write_bytes(b"\xef\xbb\xbf3 2\n0 1\n1 2\n")
+    assert read_graph(path) == build_graph(3, [(0, 1), (1, 2)])
+
+
+def test_cli_file_with_a_byte_order_mark_names_the_bad_byte_exactly(tmp_path, capsys):
+    path = tmp_path / "bom.edges"
+    path.write_bytes(b"\xef\xbb\xbf2 1\n\xff0 1\n")
+    assert main(["analyze", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: line 2: not UTF-8: byte 0xff at offset 7\n"
+
+
 def test_cli_rainbow_pair(tmp_path, capsys):
     path = tmp_path / "c6.edges"
     path.write_text(write_edgelist(family("cycle", 6)))
@@ -362,19 +383,52 @@ def test_cli_check_rejects_an_empty_claim_selection_exit_2(capsys):
     assert err == "error: no claim selected\n"
 
 
-def test_cli_check_rejects_a_json_path_without_directory_before_checking(
-    tmp_path, capsys, monkeypatch
+PETERSEN = str(Path(__file__).parent / "goldens" / "petersen.edges")
+
+# every command with each of its output flags
+DESTINATION_CASES = [
+    pytest.param(argv, flag, id=f"{argv[0]}{flag[1:]}")
+    for argv, flags in (
+        (["analyze", PETERSEN], ("--json", "--dot")),
+        (["family", "cycle", "5"], ("--json", "--dot")),
+        (["rainbow", PETERSEN, "--all-pairs"], ("--json", "--dot")),
+        (["check", "--max-n", "8"], ("--json",)),
+    )
+    for flag in flags
+]
+
+
+@pytest.mark.parametrize("argv, flag", DESTINATION_CASES)
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_cli_rejects_a_bad_destination_before_any_work(
+    tmp_path, capsys, monkeypatch, argv, flag, where
 ):
     def unreachable(*args, **kwargs):
-        raise AssertionError("the corpus was built or checked")
+        raise AssertionError("a graph was read, built, enumerated or checked")
 
-    monkeypatch.setattr(cli, "enumerate_graphs", unreachable)
-    monkeypatch.setattr(cli, "check_all", unreachable)
-    target = tmp_path / "no" / "such" / "x.json"
-    assert main(["check", "--max-n", "8", "--json", str(target)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: --json: no directory {str(target.parent)!r}\n"
+    for name in ("read_graph", "generate", "GraphFacts", "enumerate_graphs", "check_all"):
+        monkeypatch.setattr(cli, name, unreachable)
+    if where == "directory":
+        target, message = tmp_path, f"{flag}: {str(tmp_path)!r} is a directory"
+    else:
+        target = tmp_path / "no" / "such" / "x.out"
+        message = f"{flag}: no directory {str(target.parent)!r}"
+    assert main([*argv, flag, str(target)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", PETERSEN, "--dot"],
+    ["rainbow", PETERSEN, "--all-pairs", "--json", "-", "--dot"],
+    ["check", "--max-n", "3", "--text", "--json"],
+], ids=["analyze", "rainbow", "check"])
+def test_cli_failed_write_after_the_work_leaves_stdout_empty(tmp_path, capsys, monkeypatch, argv):
+    def full_disk(self, *args, **kwargs):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    assert main([*argv, str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", "error: No space left on device\n")
 
 
 def test_cli_check_text_prints_the_table_and_writes_the_json(tmp_path, capsys):

@@ -43,6 +43,16 @@ def test_definition_true_claims_hold(corpus_to_5):
         assert verdict.tested == len(corpus_to_5)
 
 
+def test_t7_reads_the_minimum_degree_before_the_rainbow_verdict(corpus_to_5, monkeypatch):
+    # a J-colouring has at most delta + 1 colours, so no component with
+    # J >= 3 has delta < 2, and T7 never needs the verdict search
+    def unreachable(*args):
+        raise AssertionError("T7 ran a rainbow verdict search")
+
+    monkeypatch.setattr(analysis, "rainbow_connecting_colouring", unreachable)
+    assert check("T7", corpus_to_5, corpus="graphs n<=5").status == "HOLDS"
+
+
 def test_t4_checker_finds_the_order_two_gap():
     # the strict inequality genuinely fails on trees without internal
     # vertices: J(K_2) = J*(K_2) = 2, so the checker must say so
