@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 
@@ -40,9 +41,10 @@ from .families import KINDS, FamilySpec, enumerate_graphs, generate, oracle_j, o
 from .graphs import ComponentDecomposition, Graph
 from .io import MAX_VERTICES, FormatError, export_dot, read_graph
 from .neighbourhoods import MODES as RAINBOW_MODES
-from .theorems import THEOREM_IDS, check_all, report
+from .theorems import THEOREM_IDS, check_all, report, select_claims
 
 
+@cache  # parse_args does not change the parser, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jrainbow",
@@ -190,6 +192,7 @@ def _cmd_check(args: argparse.Namespace) -> Result:
         theorems = list(THEOREM_IDS)
     else:
         theorems = [t.strip() for t in args.theorems.split(",") if t.strip()]
+    select_claims(theorems)  # reject a bad id before the enumeration
     graphs = []
     for n in range(1, args.max_n + 1):
         graphs.extend(enumerate_graphs(n, connected_only=args.connected_only))

@@ -448,14 +448,12 @@ def _maximal_subsets(h: Graph):
                 yield subset
 
 
-# Parents per process of an order's augmentations.  Five interleaved fresh
-# runs of one order on two shares against one (2-CPU Xeon, Python 3.11.7)
-# put the median at 15 against 13 ms for order 6 (34 parents), 71 against
-# 89 ms for order 7 (156) and 0.66 against 1.25 s for order 8 (1044): the
-# pool's start-up is about 25 ms.  Order 7 stays serial all the same,
-# since the pool's imports alone raise a fresh process's peak RSS from
-# 16.3 to 17.4 MB, more than 18 ms is worth to a run over n <= 7.
-_PARENTS_PER_SHARE = 512
+# Parents per process of an order's augmentations.  Five alternating fresh
+# runs of one order on two forked processes against one (2-CPU Xeon,
+# Python 3.11.7) put the median at 18 against 13 ms for order 6 (34
+# parents) and 90 against 104 ms for order 7 (156).  So order 7 forks on
+# two CPUs and order 6 stays serial.
+_PARENTS_PER_SHARE = 64
 
 
 def _forms_slice(lo: int, hi: int, n: int) -> set[tuple[int, int]]:
@@ -471,8 +469,8 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
     deduplicate by canonical form.  The parents are shared among one
     forked worker per CPU, which take slices of them as they come free,
     once there are at least ``_PARENTS_PER_SHARE`` parents per process
-    (order 8 on a machine with more than one CPU); the sort makes the
-    union of the slices' forms the same for any process count.
+    (orders 7 and 8 on a machine with more than one CPU); the sort makes
+    the union of the slices' forms the same for any process count.
 
     An augmentation is skipped unless vertex n-1 has the largest
     isomorphism-invariant signature (degree, sorted neighbour degrees).

@@ -325,13 +325,14 @@ _BLOCK = 32
 
 # Graphs per process of the corpus loop.  Each process solves the
 # components it meets in its own table, so small components are solved
-# once per process.  Fresh runs of check_all on two processes against one
-# (2-CPU Xeon, Python 3.11.7), median of five for n <= 7 and of three for
-# the first 2048 and 4096 graphs with n <= 8, all claims: 0.25 against
-# 0.23 s over n <= 7 (1252 graphs), 0.32 against 0.37 s and 0.51 against
-# 1.19 s.  So the break-even lies between 1252 and 2048 graphs, and 4096
-# per process leaves n <= 7 serial on any machine.
-_GRAPHS_PER_SHARE = 4096
+# once per process.  Five alternating fresh runs of check_all, all claims,
+# over the first graphs with n <= 7, on two forked processes against one
+# (2-CPU Xeon, Python 3.11.7), put the median at 31 against 26 ms for 156
+# graphs, 49 against 57 ms for 256, 81 against 144 ms for 512 and 223
+# against 285 ms for all 1252.  So forking pays from about 256 graphs on;
+# 256 per process forks from 512, which takes in n <= 7 and leaves n <= 6
+# (208 graphs) serial.
+_GRAPHS_PER_SHARE = 256
 
 
 def check(
@@ -364,6 +365,13 @@ def check_all(
     :func:`_run`) keeps one component record per distinct component; each
     graph's record is built once, read by every claim and mode while its
     block of the corpus is checked, and then dropped."""
+    return _run(graphs, corpus, select_claims(theorems))
+
+
+def select_claims(theorems: Iterable[str] | None = None) -> list[tuple[str, str | None]]:
+    """The (claim, mode) pairs that :func:`check_all` runs for the selected
+    claim ids (default: all), ordered by theorem id then mode.  Raises
+    ``ValueError`` on an unknown id or an empty selection."""
     selected = tuple(dict.fromkeys(THEOREM_IDS if theorems is None else theorems))
     if not selected:
         raise ValueError("no claim selected")
@@ -371,7 +379,7 @@ def check_all(
         if tid not in _CHECKERS:
             raise ValueError(f"unknown theorem id {tid!r}")
     ordered = sorted(selected, key=lambda t: int(t[1:]))
-    return _run(graphs, corpus, [(tid, mode) for tid in ordered for mode in THEOREM_MODES[tid]])
+    return [(tid, mode) for tid in ordered for mode in THEOREM_MODES[tid]]
 
 
 def _run(graphs: Sequence[Graph], corpus: str, claims: list) -> list[TheoremVerdict]:

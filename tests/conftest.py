@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from jrainbow import FamilySpec, Graph, enumerate_graphs, generate
+from jrainbow import FamilySpec, Graph, _shares, enumerate_graphs, generate
 
 
 def family(kind: str, *params: int, parts=()) -> Graph:
@@ -50,6 +50,14 @@ def count_calls(module, name: str, run):
     finally:
         sys.setprofile(None)
     return result, len(frames)
+
+
+@pytest.fixture
+def one_process(monkeypatch):
+    """Keep every corpus stage in the calling process, for tests that count
+    work done there: on more than one CPU, the claim stage of n <= 7 and
+    the enumeration of order 7 run in forked workers."""
+    monkeypatch.setattr(_shares, "cpus", lambda: 1)
 
 
 @pytest.fixture(scope="session")

@@ -319,6 +319,7 @@ def test_degree_first_subsets_match_the_full_scan():
             assert sorted(families._maximal_subsets(h)) == scan, h
 
 
+@pytest.mark.usefixtures("one_process")
 def test_augmentation_searches_one_subset_per_orbit(monkeypatch):
     searches = Counter()
     search = families._canonical_search

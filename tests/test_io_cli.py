@@ -1,4 +1,8 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -376,13 +380,6 @@ def test_cli_check_json_and_modes(capsys):
     assert all(v["corpus"] == "connected graphs n<=4" for v in doc["verdicts"])
 
 
-def test_cli_check_rejects_an_empty_claim_selection_exit_2(capsys):
-    assert main(["check", "--max-n", "3", "--theorems", ","]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: no claim selected\n"
-
-
 PETERSEN = str(Path(__file__).parent / "goldens" / "petersen.edges")
 
 # every command with each of its output flags
@@ -415,6 +412,61 @@ def test_cli_rejects_a_bad_destination_before_any_work(
         message = f"{flag}: no directory {str(target.parent)!r}"
     assert main([*argv, flag, str(target)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("T1,T11", "unknown theorem id 'T11'"),
+    (",", "no claim selected"),
+], ids=["unknown", "empty"])
+def test_cli_check_rejects_a_bad_claim_selection_before_any_work(
+    capsys, monkeypatch, spec, message
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a graph was enumerated or checked")
+
+    for name in ("enumerate_graphs", "check_all"):
+        monkeypatch.setattr(cli, name, unreachable)
+    assert main(["check", "--max-n", "8", "--theorems", spec]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _parser_state(parser: argparse.ArgumentParser) -> list:
+    """Everything parse_args could change in a parser: its defaults and
+    every action's settings, its subcommands' parsers included."""
+    state = [sorted(parser._defaults.items())]
+    for action in parser._actions:
+        state.append(sorted((key, repr(value)) for key, value in vars(action).items()))
+        if isinstance(action, argparse._SubParsersAction):
+            state.extend(_parser_state(sub) for sub in action.choices.values())
+    return state
+
+
+# one command with output flags, then the same command without them
+CACHED_PARSER_RUNS = [
+    ["analyze", PETERSEN, "--json", "-", "--dot", "-", "--modes", "convention"],
+    ["analyze", PETERSEN],
+    ["check", "--max-n", "4", "--theorems", "T1,T2", "--text", "--connected-only"],
+    ["check", "--max-n", "4"],
+]
+
+
+def test_cli_parser_is_built_once_and_left_unchanged(capsys):
+    parser = cli._build_parser()
+    state = _parser_state(parser)
+    in_process = []
+    for argv in CACHED_PARSER_RUNS:
+        assert main(argv) == 0
+        in_process.append(capsys.readouterr().out.encode())
+        assert cli._build_parser() is parser
+        assert _parser_state(parser) == state
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for argv, out in zip(CACHED_PARSER_RUNS, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import sys; from jrainbow.cli import main; sys.exit(main())",
+             *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=60, check=True,
+        )
+        assert fresh.stdout == out, argv
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,15 +1,16 @@
 """The corpus stages shared among processes: the claim loop and the
 enumeration give the same output for any process count, slices go to
-whichever worker is free, a worker that dies fails the call at once, and
+whichever worker is free, a worker's exception reaches the caller, a
+worker that dies fails the call at once, no child outlives a stage, and
 a process with a second thread does not fork.  The CPU count is patched
 so that these tests fork on any Linux machine."""
 
 import os
 import random
+import signal
 import sys
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -19,9 +20,8 @@ pytestmark = pytest.mark.skipif(sys.platform != "linux", reason="shares fork on 
 
 
 @pytest.fixture
-def shares(monkeypatch):
-    """Force every stage of at least one item per share onto ``k`` shares
-    (``shares(k)``), and record the share count of every stage run."""
+def stages(monkeypatch):
+    """The share count of every stage run, recorded as it starts."""
     counts = []
     run = _shares.run
 
@@ -30,12 +30,19 @@ def shares(monkeypatch):
         return run(fn, count, items, *args)
 
     monkeypatch.setattr(_shares, "run", recording)
+    return counts
+
+
+@pytest.fixture
+def shares(stages, monkeypatch):
+    """Force every stage of at least one item per share onto ``k`` shares
+    (``shares(k)``), and record the share count of every stage run."""
     monkeypatch.setattr(theorems, "_GRAPHS_PER_SHARE", 1)
     monkeypatch.setattr(families, "_PARENTS_PER_SHARE", 1)
 
     def force(k):
         monkeypatch.setattr(_shares, "cpus", lambda: k)
-        return counts
+        return stages
 
     return force
 
@@ -88,9 +95,84 @@ def test_a_worker_that_dies_breaks_the_call(corpus_to_6, shares, monkeypatch):
     monkeypatch.setattr(theorems, "_claims_slice", dying)
     shares(2)
     start = time.perf_counter()
-    with pytest.raises(BrokenProcessPool):
+    with pytest.raises(_shares.WorkerDied, match="exit code 1"):
         check_all(corpus_to_6)
     assert time.perf_counter() - start < 30
+
+
+def test_n7_forks_on_two_cpus_and_n6_stays_in_process(stages, monkeypatch):
+    # with the real constants: the gain of `check --max-n 7` on two CPUs
+    # rests on its claim stage and its order-7 enumeration forking
+    monkeypatch.setattr(_shares, "cpus", lambda: 2)
+    to_6 = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    to_7 = to_6 + enumerate_graphs(7)
+    assert (len(to_6), len(to_7)) == (208, 1252)
+    stages.clear()
+    assert families._all_graphs.__wrapped__(6) == families._all_graphs(6)  # 34 parents
+    assert families._all_graphs.__wrapped__(7) == families._all_graphs(7)  # 156 parents
+    check_all(to_6)
+    check_all(to_7)
+    assert stages == [1, 2, 1, 2]
+
+
+def _failing_slice(lo, hi):
+    if lo == 50:
+        raise KeyError(f"slice {lo}..{hi} in worker {os.getpid()}")
+    return lo
+
+
+def test_a_worker_exception_reaches_the_caller():
+    with pytest.raises(KeyError) as caught:
+        _shares.run(_failing_slice, 2, 100)
+    message = caught.value.args[0]
+    assert message.startswith("slice 50..53 in worker ")
+    assert int(message.rsplit(" ", 1)[1]) != os.getpid()
+    assert "in _failing_slice" in str(caught.value.__cause__)
+
+
+def _slice(fate):
+    def run_slice(lo, hi):
+        if lo == 50:
+            if fate == "raises":
+                raise ValueError("slice 50")
+            if fate == "exits":
+                os._exit(0)  # a clean exit that loses its slice
+        time.sleep(0.05)
+        return lo
+
+    return run_slice
+
+
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("fate, error", [
+    ("returns", None),
+    ("raises", ValueError),
+    ("exits", _shares.WorkerDied),
+    ("interrupted", KeyboardInterrupt),
+])
+def test_no_child_outlives_a_stage(fate, error):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no child before the stage
+    start = time.perf_counter()
+    if error is None:
+        assert _shares.run(_slice(fate), 2, 100) == [100 * s // 32 for s in range(32)]
+    else:
+        # a forked child inherits the handler but not the timer
+        previous = signal.signal(signal.SIGALRM, _interrupt)
+        try:
+            if fate == "interrupted":
+                signal.setitimer(signal.ITIMER_REAL, 0.2)
+            with pytest.raises(error):
+                _shares.run(_slice(fate), 2, 100)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_second_thread_keeps_one_share(monkeypatch):

@@ -19,6 +19,7 @@ from jrainbow import (
     jstarc_number,
     report,
 )
+from jrainbow import _shares
 from jrainbow import analysis, colouring, connectivity, graphs, jcolouring, neighbourhoods, theorems
 from jrainbow.theorems import THEOREM_MODES
 
@@ -167,6 +168,7 @@ def test_shared_facts_give_the_verdicts_of_fresh_checks(corpus_to_5):
 
 @pytest.mark.parametrize("run", [check_all, lambda corpus: [check("T1", corpus)]],
                          ids=["check_all", "check-T1"])
+@pytest.mark.usefixtures("one_process")
 def test_live_graph_records_never_exceed_one_block(run, monkeypatch):
     # each block's records are read by every claim and then dropped, so
     # while any claim runs, at most one block of graph records is alive
@@ -192,6 +194,7 @@ def test_live_graph_records_never_exceed_one_block(run, monkeypatch):
     assert max(sizes) <= theorems._BLOCK
 
 
+@pytest.mark.usefixtures("one_process")
 def test_records_of_largest_order_connected_graphs_leave_with_their_block(monkeypatch):
     # such a graph is its own only component, which no other graph of the
     # corpus can hold, so the component table does not keep its record
@@ -219,6 +222,7 @@ def test_records_of_largest_order_connected_graphs_leave_with_their_block(monkey
 
 @pytest.mark.parametrize("run", [check_all, lambda corpus: [check("T1", corpus)]],
                          ids=["check_all", "check-T1"])
+@pytest.mark.usefixtures("one_process")
 def test_failures_kept_never_exceed_a_cap_plus_one_block(run, monkeypatch):
     # T1 fails every graph, and its details live while its failure is kept:
     # only those that can still be among the first WITNESS_CAP, plus one
@@ -277,6 +281,9 @@ def calls_over_check_all_to_7():
             yield col
 
     with pytest.MonkeyPatch.context() as patch:
+        # the calls are counted in this process (the one_process fixture,
+        # which a module-scoped fixture cannot use)
+        patch.setattr(_shares, "cpus", lambda: 1)
         patch.setattr(analysis, "_search_colourings", candidates)
         for name, home in COUNTED.items():
             original = getattr(home, name)
